@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
     const double hours = result.wall_micros / 3.6e9;
     auto cost = meter.MonthlyCost(
         stats.storage.cloud_bytes,
-        stats.storage.local_bytes + stats.persistent_cache.disk_bytes +
-            stats.persistent_cache.metadata.bytes + stats.file_cache_bytes,
+        stats.LocalBytes(),
         delta, hours);
 
     // $ per million ops at the measured throughput, if sustained for the

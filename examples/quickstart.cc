@@ -6,8 +6,9 @@
 #include <filesystem>
 #include <memory>
 
+#include "baselines/kvstore.h"
+#include "cloud/cost_meter.h"
 #include "cloud/object_store.h"
-#include "mash/rocksmash_db.h"
 #include "util/clock.h"
 
 using namespace rocksmash;
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
 
   // 2. Open the store: local shallow levels + WAL under local_dir, deep
   //    levels in the bucket, hot blocks + metadata cached on "local SSD".
-  RocksMashOptions options;
+  SchemeOptions options;  // kind = kRocksMash: the paper's system.
   options.local_dir = workdir + "/db";
   options.cloud = cloud.get();
   options.cloud_level_start = 1;        // L0 local; L1+ in the bucket.
@@ -31,8 +32,8 @@ int main(int argc, char** argv) {
   options.max_file_size = 256 * 1024;
   options.wal_segments = 4;             // eWAL striping for fast recovery.
 
-  std::unique_ptr<RocksMashDB> db;
-  Status s = RocksMashDB::Open(options, &db);
+  std::unique_ptr<KVStore> db;
+  Status s = OpenKVStore(options, &db);
   if (!s.ok()) {
     std::fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
     return 1;
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
   }
 
   // 5. Where did the data go, and what does it cost?
-  auto stats = db->Stats(/*hours_observed=*/1.0);
+  const KVStoreStats stats = db->Stats();
   std::printf("\nPlacement:\n");
   std::printf("  local : %llu files, %.1f KiB\n",
               (unsigned long long)stats.storage.local_files,
@@ -81,15 +82,19 @@ int main(int argc, char** argv) {
               stats.storage.cloud_bytes / 1024.0);
   std::printf("Persistent cache: %llu metadata slabs (%.1f KiB), "
               "%.1f KiB data blocks, %llu hits / %llu misses\n",
-              (unsigned long long)stats.cache.metadata.slabs,
-              stats.cache.metadata.bytes / 1024.0,
-              stats.cache.data_bytes / 1024.0,
-              (unsigned long long)stats.cache.hits,
-              (unsigned long long)stats.cache.misses);
+              (unsigned long long)stats.persistent_cache.metadata.slabs,
+              stats.persistent_cache.metadata.bytes / 1024.0,
+              stats.persistent_cache.data_bytes / 1024.0,
+              (unsigned long long)stats.persistent_cache.hits,
+              (unsigned long long)stats.persistent_cache.misses);
   std::printf("Cloud requests: %llu PUTs, %llu GETs\n",
               (unsigned long long)stats.cloud_ops.puts,
               (unsigned long long)stats.cloud_ops.gets);
+  const CostBreakdown cost =
+      CostMeter().MonthlyCost(cloud->BytesStored(), stats.LocalBytes(),
+                              stats.cloud_ops, /*hours_observed=*/1.0);
+  std::printf("Local footprint: %.1f KiB\n", stats.LocalBytes() / 1024.0);
   std::printf("Estimated monthly cost: %s\n",
-              CostMeter::Format(stats.monthly_cost).c_str());
+              CostMeter::Format(cost).c_str());
   return 0;
 }

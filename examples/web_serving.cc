@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
     CostMeter meter;
     auto cost = meter.MonthlyCost(
         stats.storage.cloud_bytes,
-        stats.storage.local_bytes + stats.persistent_cache.disk_bytes +
-            stats.persistent_cache.metadata.bytes + stats.file_cache_bytes,
+        stats.LocalBytes(),
         stats.cloud_ops, /*hours_observed=*/1.0);
 
     std::printf("%-14s %12.0f %10.0f %10.0f %12.1f %12.1f %14.4f\n",

@@ -1,5 +1,6 @@
 #include "baselines/kvstore.h"
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <mutex>
@@ -7,8 +8,8 @@
 #include "env/env.h"
 #include "lsm/filename.h"
 #include "lsm/sharded_db.h"
+#include "mash/ewal.h"
 #include "mash/placement.h"
-#include "mash/rocksmash_db.h"
 #include "util/prefix_extractor.h"
 
 namespace rocksmash {
@@ -208,103 +209,6 @@ class CloudSstCacheStorage final : public TableStorage {
   TableStorageStats stats_ GUARDED_BY(mu_);
 };
 
-// KVStore over a raw DB + injected storage/wal (LocalOnly, CloudOnly,
-// CloudSstCache). Holds one TableStorage per shard (a single entry when
-// num_shards == 1) and, for CloudSstCache, one SstFileCacheStats per shard
-// so concurrent shards never race on a shared counter struct.
-class EngineKVStore final : public KVStore {
- public:
-  EngineKVStore(const SchemeOptions& options, std::unique_ptr<DB> db,
-                std::shared_ptr<SharedResources> shared_resources,
-                std::vector<std::unique_ptr<TableStorage>> storages,
-                std::unique_ptr<Cache> owned_block_cache, Cache* block_cache,
-                std::vector<std::shared_ptr<SstFileCacheStats>>
-                    file_cache_stats)
-      : options_(options),
-        shared_resources_(std::move(shared_resources)),
-        storages_(std::move(storages)),
-        owned_block_cache_(std::move(owned_block_cache)),
-        block_cache_(block_cache),
-        file_cache_stats_(std::move(file_cache_stats)),
-        db_(std::move(db)) {}
-
-  ~EngineKVStore() override {
-    db_.reset();  // Engine first; it uses storages_.
-  }
-
-  DB* db() const override { return db_.get(); }
-  const char* Name() const override { return SchemeName(options_.kind); }
-  Statistics* statistics() const override { return options_.statistics; }
-
-  KVStoreStats Stats() const override {
-    KVStoreStats s;
-    for (const auto& storage : storages_) {
-      TableStorageStats ss = storage->GetStats();
-      s.storage.local_bytes += ss.local_bytes;
-      s.storage.cloud_bytes += ss.cloud_bytes;
-      s.storage.local_files += ss.local_files;
-      s.storage.cloud_files += ss.cloud_files;
-      s.storage.uploads += ss.uploads;
-      s.storage.downloads += ss.downloads;
-      s.storage.pending_uploads += ss.pending_uploads;
-    }
-    if (options_.cloud != nullptr) {
-      s.cloud_ops = options_.cloud->Counters();
-    }
-    s.block_cache = block_cache_->GetStats();
-    for (const auto& fcs : file_cache_stats_) {
-      s.file_cache_hits += fcs->hits;
-      s.file_cache_misses += fcs->misses;
-      s.file_cache_bytes += fcs->bytes;
-    }
-    s.recovery = db_->GetRecoveryStats();
-    return s;
-  }
-
- private:
-  SchemeOptions options_;
-  // Destruction runs bottom-up (db_ first; see ~EngineKVStore): the engine
-  // uses the storages, and both may hold the shared pools, so
-  // shared_resources_ is declared first.
-  std::shared_ptr<SharedResources> shared_resources_;
-  std::vector<std::unique_ptr<TableStorage>> storages_;
-  // Owned in the unsharded path; shared-cache opens leave it null and point
-  // block_cache_ at the SharedResources cache.
-  std::unique_ptr<Cache> owned_block_cache_;
-  Cache* block_cache_;
-  std::vector<std::shared_ptr<SstFileCacheStats>> file_cache_stats_;
-  std::unique_ptr<DB> db_;
-};
-
-// KVStore over RocksMashDB.
-class MashKVStore final : public KVStore {
- public:
-  explicit MashKVStore(std::unique_ptr<RocksMashDB> db,
-                       const SchemeOptions& options)
-      : options_(options), db_(std::move(db)) {}
-
-  DB* db() const override { return db_->raw_db(); }
-  const char* Name() const override { return "RocksMash"; }
-  Statistics* statistics() const override { return options_.statistics; }
-
-  KVStoreStats Stats() const override {
-    RocksMashStats ms = db_->Stats();
-    KVStoreStats s;
-    s.storage = ms.storage;
-    s.cloud_ops = ms.cloud_ops;
-    s.block_cache = ms.block_cache;
-    s.persistent_cache = ms.cache;
-    s.recovery = ms.recovery;
-    return s;
-  }
-
-  RocksMashDB* mash() { return db_.get(); }
-
- private:
-  SchemeOptions options_;
-  std::unique_ptr<RocksMashDB> db_;
-};
-
 }  // namespace
 
 std::unique_ptr<TableStorage> NewCloudSstCacheStorage(
@@ -316,224 +220,267 @@ std::unique_ptr<TableStorage> NewCloudSstCacheStorage(
       std::move(stats));
 }
 
+KVStoreStats KVStore::Stats() const {
+  KVStoreStats s;
+  for (const auto& storage : storages_) {
+    TableStorageStats ss = storage->GetStats();
+    s.storage.local_bytes += ss.local_bytes;
+    s.storage.cloud_bytes += ss.cloud_bytes;
+    s.storage.local_files += ss.local_files;
+    s.storage.cloud_files += ss.cloud_files;
+    s.storage.uploads += ss.uploads;
+    s.storage.downloads += ss.downloads;
+    s.storage.pending_uploads += ss.pending_uploads;
+  }
+  if (options_.cloud != nullptr) {
+    s.cloud_ops = options_.cloud->Counters();
+  }
+  s.block_cache = block_cache_->GetStats();
+  if (pcache_ != nullptr) {
+    s.persistent_cache = pcache_->GetStats();
+  }
+  for (const auto& fcs : file_cache_stats_) {
+    s.file_cache_hits += fcs->hits;
+    s.file_cache_misses += fcs->misses;
+    s.file_cache_bytes += fcs->bytes;
+  }
+  s.recovery = db_->GetRecoveryStats();
+  return s;
+}
+
 Status OpenKVStore(const SchemeOptions& options,
                    std::unique_ptr<KVStore>* store) {
   store->reset();
-  Env* env = options.env != nullptr ? options.env : Env::Default();
-
-  if (options.kind == SchemeKind::kRocksMash) {
-    RocksMashOptions mo;
-    mo.local_dir = options.local_dir;
-    mo.cloud = options.cloud;
-    mo.cloud_level_start = options.cloud_level_start;
-    mo.cloud_readahead_bytes = options.cloud_readahead_bytes;
-    mo.persistent_cache_bytes = options.local_cache_bytes;
-    mo.cache_layout = options.cache_layout;
-    mo.wal_segments = options.wal_segments;
-    mo.pin_hot_files = options.pin_hot_files;
-    mo.enable_pipelined_write = options.enable_pipelined_write;
-    mo.allow_concurrent_memtable_write =
-        options.allow_concurrent_memtable_write;
-    mo.max_write_group_bytes = options.max_write_group_bytes;
-    mo.write_buffer_size = options.write_buffer_size;
-    mo.max_file_size = options.max_file_size;
-    mo.max_bytes_for_level_base = options.max_bytes_for_level_base;
-    mo.block_size = options.block_size;
-    mo.block_cache_bytes = options.block_cache_bytes;
-    mo.filter_bits_per_key = options.filter_bits_per_key;
-    mo.prefix_length = options.prefix_length;
-    mo.max_open_files = options.max_open_files;
-    mo.compress_blocks = options.compress_blocks;
-    mo.async_uploads = options.async_uploads;
-    mo.upload_threads = options.upload_threads;
-    mo.max_background_flushes = options.max_background_flushes;
-    mo.max_background_compactions = options.max_background_compactions;
-    mo.blob = options.blob;
-    mo.num_shards = options.num_shards;
-    mo.shared_resources = options.shared_resources;
-    mo.statistics = options.statistics;
-    mo.listeners = options.listeners;
-    mo.stats_dump_period_sec = options.stats_dump_period_sec;
-    mo.env = env;
-    std::unique_ptr<RocksMashDB> db;
-    Status s = RocksMashDB::Open(mo, &db);
-    if (!s.ok()) return s;
-    *store = std::make_unique<MashKVStore>(std::move(db), options);
-    return Status::OK();
-  }
-
-  if ((options.kind == SchemeKind::kCloudOnly ||
-       options.kind == SchemeKind::kCloudSstCache) &&
-      options.cloud == nullptr) {
+  if (options.kind != SchemeKind::kLocalOnly && options.cloud == nullptr) {
     return Status::InvalidArgument(std::string(SchemeName(options.kind)) +
                                    " requires an object store");
   }
+  Env* env = options.env != nullptr ? options.env : Env::Default();
+  std::unique_ptr<KVStore> kv(new KVStore(options));
+  kv->options_.env = env;
 
+  DBOptions base;
+  base.env = env;
+  base.shared_resources = options.shared_resources;
+  base.enable_pipelined_write = options.enable_pipelined_write;
+  base.allow_concurrent_memtable_write =
+      options.allow_concurrent_memtable_write;
+  base.max_write_group_bytes = options.max_write_group_bytes;
+  base.write_buffer_size = options.write_buffer_size;
+  base.max_file_size = options.max_file_size;
+  base.max_bytes_for_level_base = options.max_bytes_for_level_base;
+  base.block_size = options.block_size;
+  base.filter_bits_per_key = options.filter_bits_per_key;
+  if (options.prefix_length > 0) {
+    base.prefix_extractor = NewFixedPrefixExtractor(options.prefix_length);
+  }
+  base.max_open_files = options.max_open_files;
+  base.compress_blocks = options.compress_blocks;
+  base.blob = options.blob;
+  base.max_background_flushes = options.max_background_flushes;
+  base.max_background_compactions = options.max_background_compactions;
+  base.statistics = options.statistics;
+  base.listeners = options.listeners;
+  base.stats_dump_period_sec = options.stats_dump_period_sec;
+
+  // Shards get one SharedResources sized from these knobs: one block-cache
+  // budget and one cloud pool pair for the whole group.
+  SharedResourcesOptions resources;
+  resources.block_cache_bytes = options.block_cache_bytes;
+  resources.upload_threads = std::max(options.upload_threads, 2);
+  const int num_shards = std::max(1, options.num_shards);
+  std::vector<ShardedDB::ShardSpec> specs;
+  Status s = ShardedDB::PrepareShards(base, options.local_dir, num_shards,
+                                      resources, &specs);
+  if (!s.ok()) return s;
+
+  std::shared_ptr<SharedResources> shared = specs[0].options.shared_resources;
+  kv->shared_resources_ = shared;
+  if (shared != nullptr) {
+    kv->block_cache_ = shared->block_cache();
+  } else {
+    kv->owned_block_cache_ = NewLRUCache(options.block_cache_bytes);
+    kv->block_cache_ = kv->owned_block_cache_.get();
+  }
+
+  if (options.kind == SchemeKind::kRocksMash) {
+    // One persistent cache for every shard: shards namespace their file ids
+    // into it via TieredStorageOptions::cache_namespace.
+    PersistentCacheOptions pc;
+    pc.dir = options.local_dir + "/pcache";
+    pc.env = env;
+    pc.capacity_bytes = options.local_cache_bytes;
+    pc.layout = options.cache_layout;
+    pc.statistics = options.statistics;
+    pc.listeners = options.listeners;
+    kv->pcache_ = std::make_unique<PersistentCache>(pc);
+    if (shared != nullptr) {
+      shared->set_persistent_cache(kv->pcache_.get());
+    }
+  }
+
+  for (size_t i = 0; i < specs.size(); i++) {
+    ShardedDB::ShardSpec& spec = specs[i];
+    // Shards allocate file numbers independently, so cloud-backed schemes
+    // need per-shard object prefixes to keep the bucket keys disjoint.
+    const std::string cloud_prefix =
+        specs.size() > 1 ? "tables/shard-" + std::to_string(i) : "tables";
+
+    TieredStorageOptions ts;
+    ts.local_dir = spec.path;
+    ts.env = env;
+    ts.cloud = options.cloud;
+    ts.cloud_prefix = cloud_prefix;
+    ts.cloud_readahead_bytes = options.cloud_readahead_bytes;
+    if (shared != nullptr) {
+      ts.upload_pool = shared->upload_pool();
+      ts.fetch_pool = shared->cloud_fetch_pool();
+    }
+    ts.statistics = options.statistics;
+    ts.listeners = options.listeners;
+
+    switch (options.kind) {
+      case SchemeKind::kLocalOnly:
+        kv->storages_.push_back(NewLocalTableStorage(env, spec.path));
+        break;
+      case SchemeKind::kCloudOnly:
+        // Everything in the cloud and no persistent cache.
+        ts.cloud_level_start = 0;
+        kv->storages_.push_back(std::make_unique<TieredTableStorage>(ts));
+        break;
+      case SchemeKind::kCloudSstCache: {
+        // The whole-file cache budget is a store-wide number, split evenly
+        // (floored so tiny configs stay usable).
+        kv->file_cache_stats_.push_back(std::make_shared<SstFileCacheStats>());
+        const uint64_t budget = std::max<uint64_t>(
+            options.local_cache_bytes / specs.size(), 1024 * 1024);
+        kv->storages_.push_back(NewCloudSstCacheStorage(
+            env, spec.path, options.cloud, cloud_prefix, budget,
+            kv->file_cache_stats_.back()));
+        break;
+      }
+      case SchemeKind::kRocksMash:
+        ts.cloud_level_start = options.cloud_level_start;
+        ts.persistent_cache = kv->pcache_.get();
+        ts.cache_namespace = i;
+        ts.pin_hot_files = options.pin_hot_files;
+        ts.async_uploads = options.async_uploads;
+        ts.upload_threads = options.upload_threads;
+        kv->storages_.push_back(std::make_unique<TieredTableStorage>(ts));
+        if (options.wal_segments > 1) {
+          EWalOptions ew;
+          ew.segments = options.wal_segments;
+          kv->wals_.push_back(NewEWalManager(env, spec.path, ew));
+          spec.options.wal_manager = kv->wals_.back().get();
+        }
+        break;
+    }
+    spec.options.table_storage = kv->storages_.back().get();
+    spec.options.block_cache = kv->block_cache_;
+  }
+
+  s = ShardedDB::Open(specs, &kv->db_);
+  if (!s.ok()) return s;
+  *store = std::move(kv);
+  return Status::OK();
+}
+
+Status BackupToCloud(KVStore* store, const std::string& backup_prefix) {
+  const SchemeOptions& options = store->options();
+  if (options.kind != SchemeKind::kRocksMash) {
+    return Status::InvalidArgument("backup requires a RocksMash store");
+  }
+  if (options.num_shards > 1) {
+    return Status::NotSupported("backup of a sharded store");
+  }
+  // A flush makes the WAL redundant for the snapshot: everything live is in
+  // SSTs + MANIFEST afterwards.
+  Status s = store->FlushMemTable();
+  if (!s.ok()) return s;
+  store->WaitForCompaction();
+
+  Env* env = options.env;
+  ObjectStore* cloud = options.cloud;
+
+  // Upload CURRENT, the manifest it names, and every local-tier SST. The
+  // object set under backup_prefix fully describes the snapshot; cloud-tier
+  // SSTs are referenced in place under the normal table prefix.
+  std::string current;
+  s = ReadFileToString(env, CurrentFileName(options.local_dir), &current);
+  if (!s.ok()) return s;
+  s = cloud->Put(backup_prefix + "/CURRENT", current);
+  if (!s.ok()) return s;
+
+  std::string manifest_name = current.substr(0, current.find('\n'));
+  std::string manifest;
+  s = ReadFileToString(env, options.local_dir + "/" + manifest_name,
+                       &manifest);
+  if (!s.ok()) return s;
+  s = cloud->Put(backup_prefix + "/" + manifest_name, manifest);
+  if (!s.ok()) return s;
+
+  std::vector<std::string> children;
+  s = env->GetChildren(options.local_dir, &children);
+  if (!s.ok()) return s;
+  for (const auto& child : children) {
+    uint64_t number;
+    FileType type;
+    if (!ParseFileName(child, &number, &type) ||
+        type != FileType::kTableFile) {
+      continue;
+    }
+    std::string contents;
+    s = ReadFileToString(env, options.local_dir + "/" + child, &contents);
+    if (!s.ok()) return s;
+    s = cloud->Put(backup_prefix + "/" + child, contents);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+Status RestoreFromCloud(const SchemeOptions& options,
+                        const std::string& backup_prefix,
+                        std::unique_ptr<KVStore>* store) {
+  store->reset();
+  if (options.kind != SchemeKind::kRocksMash || options.cloud == nullptr) {
+    return Status::InvalidArgument(
+        "restore requires a RocksMash store with an object store");
+  }
+  if (options.num_shards > 1) {
+    return Status::NotSupported("restore of a sharded store");
+  }
+  Env* env = options.env != nullptr ? options.env : Env::Default();
+  ObjectStore* cloud = options.cloud;
+
+  if (env->FileExists(CurrentFileName(options.local_dir))) {
+    return Status::InvalidArgument(options.local_dir,
+                                   "already contains a store");
+  }
   Status dir_status = env->CreateDirRecursively(options.local_dir);
   if (!dir_status.ok() && !env->FileExists(options.local_dir)) {
     return dir_status;
   }
 
-  const int num_shards = std::max(1, options.num_shards);
-  const bool sharded = num_shards > 1;
-
-  // The shard count is part of the on-disk layout (the routing hash is a
-  // function of it): verify the marker on reopen, persist it on first
-  // sharded open. Unsharded stores write no marker.
-  {
-    int existing = 0;
-    Status ms = ShardedDB::ReadShardMarker(env, options.local_dir, &existing);
-    if (ms.ok()) {
-      if (existing != num_shards) {
-        return Status::InvalidArgument(
-            "OpenKVStore",
-            "shard count mismatch: marker has " + std::to_string(existing) +
-                ", requested " + std::to_string(num_shards));
-      }
-    } else if (ms.IsNotFound()) {
-      if (sharded) {
-        ms = WriteStringToFile(env, std::to_string(num_shards) + "\n",
-                               options.local_dir + "/SHARDS", /*sync=*/true);
-        if (!ms.ok()) return ms;
-      }
-    } else {
-      return ms;
-    }
-  }
-
-  // One SharedResources for the shard group: one block-cache budget, one
-  // cloud pool pair, one flush/compaction lane pair for all shards.
-  std::shared_ptr<SharedResources> shared = options.shared_resources;
-  if (shared == nullptr && sharded) {
-    SharedResourcesOptions sr;
-    sr.block_cache_bytes = options.block_cache_bytes;
-    sr.statistics = options.statistics;
-    sr.flush_threads =
-        std::max(options.max_background_flushes, std::min(num_shards, 4));
-    sr.compaction_threads =
-        std::max(options.max_background_compactions, std::min(num_shards, 4));
-    sr.upload_threads = std::max(options.upload_threads, 2);
-    Status srs = SharedResources::Create(sr, &shared);
-    if (!srs.ok()) return srs;
-  }
-
-  std::unique_ptr<Cache> owned_block_cache;
-  Cache* block_cache = nullptr;
-  if (shared != nullptr) {
-    block_cache = shared->block_cache();
-  } else {
-    owned_block_cache = NewLRUCache(options.block_cache_bytes);
-    block_cache = owned_block_cache.get();
-  }
-
-  std::vector<std::unique_ptr<TableStorage>> storages;
-  std::vector<std::shared_ptr<SstFileCacheStats>> file_cache_stats;
-  std::vector<ShardedDB::ShardSpec> specs;
-  specs.reserve(static_cast<size_t>(num_shards));
-
-  for (int i = 0; i < num_shards; i++) {
-    const std::string shard_dir =
-        sharded ? options.local_dir + "/shard-" + std::to_string(i)
-                : options.local_dir;
-    if (sharded) {
-      Status ds = env->CreateDirRecursively(shard_dir);
-      if (!ds.ok()) return ds;
-    }
-    // Shards allocate file numbers independently, so cloud-backed schemes
-    // need per-shard object prefixes to keep the bucket keys disjoint.
-    const std::string cloud_prefix =
-        sharded ? "tables/shard-" + std::to_string(i) : "tables";
-
-    switch (options.kind) {
-      case SchemeKind::kLocalOnly:
-        storages.push_back(NewLocalTableStorage(env, shard_dir));
-        break;
-      case SchemeKind::kCloudOnly: {
-        // Tiered storage with everything in the cloud and no persistent
-        // cache.
-        TieredStorageOptions ts;
-        ts.local_dir = shard_dir;
-        ts.env = env;
-        ts.cloud = options.cloud;
-        ts.cloud_prefix = cloud_prefix;
-        ts.cloud_level_start = 0;
-        ts.cloud_readahead_bytes = options.cloud_readahead_bytes;
-        ts.persistent_cache = nullptr;
-        if (shared != nullptr) {
-          ts.upload_pool = shared->upload_pool();
-          ts.fetch_pool = shared->cloud_fetch_pool();
-        }
-        ts.statistics = options.statistics;
-        ts.listeners = options.listeners;
-        storages.push_back(std::make_unique<TieredTableStorage>(ts));
-        break;
-      }
-      case SchemeKind::kCloudSstCache: {
-        // Per-shard stats struct: the shards' download paths run
-        // concurrently and must not race on one counter block. Stats() sums
-        // them. The whole-file cache budget is a store-wide number, split
-        // evenly (floored so tiny configs stay usable).
-        file_cache_stats.push_back(std::make_shared<SstFileCacheStats>());
-        const uint64_t budget =
-            std::max<uint64_t>(options.local_cache_bytes /
-                                   static_cast<uint64_t>(num_shards),
-                               1024 * 1024);
-        storages.push_back(NewCloudSstCacheStorage(
-            env, shard_dir, options.cloud, cloud_prefix, budget,
-            file_cache_stats.back()));
-        break;
-      }
-      case SchemeKind::kRocksMash:
-        break;  // Handled above.
-    }
-
-    DBOptions dbo;
-    dbo.env = env;
-    dbo.table_storage = storages.back().get();
-    dbo.block_cache = block_cache;
-    dbo.shared_resources = shared;
-    dbo.enable_pipelined_write = options.enable_pipelined_write;
-    dbo.allow_concurrent_memtable_write =
-        options.allow_concurrent_memtable_write;
-    dbo.max_write_group_bytes = options.max_write_group_bytes;
-    // The group's total memtable budget stays at the unsharded value: each
-    // shard flushes at 1/N (floored so tiny configs stay usable).
-    dbo.write_buffer_size =
-        sharded ? std::max<size_t>(options.write_buffer_size /
-                                       static_cast<size_t>(num_shards),
-                                   256 * 1024)
-                : options.write_buffer_size;
-    dbo.max_file_size = options.max_file_size;
-    dbo.max_bytes_for_level_base = options.max_bytes_for_level_base;
-    dbo.block_size = options.block_size;
-    dbo.filter_bits_per_key = options.filter_bits_per_key;
-    if (options.prefix_length > 0) {
-      dbo.prefix_extractor = NewFixedPrefixExtractor(options.prefix_length);
-    }
-    dbo.max_open_files = options.max_open_files;
-    dbo.compress_blocks = options.compress_blocks;
-    dbo.blob = options.blob;
-    dbo.max_background_flushes = options.max_background_flushes;
-    dbo.max_background_compactions = options.max_background_compactions;
-    dbo.statistics = options.statistics;
-    dbo.listeners = options.listeners;
-    // One stats-dump thread for the group is plenty.
-    dbo.stats_dump_period_sec = i == 0 ? options.stats_dump_period_sec : 0;
-
-    ShardedDB::ShardSpec spec;
-    spec.options = dbo;
-    spec.path = shard_dir;
-    specs.push_back(std::move(spec));
-  }
-
-  std::unique_ptr<DB> db;
-  Status s = sharded ? ShardedDB::Open(specs, &db)
-                     : DB::Open(specs[0].options, options.local_dir, &db);
+  // Materialize every backup object into the local directory: CURRENT, the
+  // manifest, and the local-tier SSTs. The rest of the tree stays in the
+  // bucket and is discovered by the tiered storage on open.
+  std::vector<ObjectMeta> objects;
+  Status s = cloud->List(backup_prefix + "/", &objects);
   if (!s.ok()) return s;
-  *store = std::make_unique<EngineKVStore>(
-      options, std::move(db), shared, std::move(storages),
-      std::move(owned_block_cache), block_cache, std::move(file_cache_stats));
-  return Status::OK();
+  if (objects.empty()) {
+    return Status::NotFound("no backup under", backup_prefix);
+  }
+  for (const auto& meta : objects) {
+    std::string contents;
+    s = cloud->Get(meta.key, &contents);
+    if (!s.ok()) return s;
+    const std::string base = meta.key.substr(backup_prefix.size() + 1);
+    s = WriteStringToFile(env, contents, options.local_dir + "/" + base,
+                          /*sync=*/true);
+    if (!s.ok()) return s;
+  }
+
+  return OpenKVStore(options, store);
 }
 
 }  // namespace rocksmash

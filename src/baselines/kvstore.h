@@ -1,4 +1,5 @@
-// KVStore: one interface over the four schemes the evaluation compares.
+// KVStore: the one store and the one open path for the four schemes the
+// evaluation compares.
 //
 //   kLocalOnly     — everything on local storage (performance ceiling,
 //                    cost ceiling).
@@ -12,8 +13,18 @@
 //                    block-granular persistent cache + packed metadata
 //                    region + eWAL.
 //
-// All four run the same engine, so measured differences are policy, not
-// implementation noise.
+// All four run the same engine and differ only in the TableStorage (and, for
+// kRocksMash, the persistent cache and eWAL) OpenKVStore plugs into it, so
+// measured differences are policy, not implementation noise.
+//
+// Quickstart:
+//   auto cloud = NewSimObjectStore("/tmp/bucket", SystemClock::Default());
+//   SchemeOptions opt;  // kind = kRocksMash
+//   opt.local_dir = "/tmp/db";
+//   opt.cloud = cloud.get();
+//   std::unique_ptr<KVStore> store;
+//   Status s = OpenKVStore(opt, &store);
+//   s = store->Put(WriteOptions(), "key", "value");
 #pragma once
 
 #include <map>
@@ -25,6 +36,7 @@
 #include "lsm/db.h"
 #include "lsm/shared_resources.h"
 #include "lsm/storage.h"
+#include "lsm/wal.h"
 #include "mash/persistent_cache.h"
 
 namespace rocksmash {
@@ -41,7 +53,9 @@ const char* SchemeName(SchemeKind kind);
 struct SchemeOptions {
   SchemeKind kind = SchemeKind::kRocksMash;
   std::string local_dir;
-  ObjectStore* cloud = nullptr;  // Required for all but kLocalOnly
+  // Required for all but kLocalOnly; OpenKVStore returns InvalidArgument
+  // without it.
+  ObjectStore* cloud = nullptr;
 
   // Local byte budget for the scheme's cache: the persistent cache
   // (kRocksMash) or the whole-file cache (kCloudSstCache).
@@ -57,8 +71,10 @@ struct SchemeOptions {
   int wal_segments = 4;
   CacheLayout cache_layout = CacheLayout::kCompactionAware;
   bool pin_hot_files = false;
-  // Async upload pipeline (kRocksMash; see RocksMashOptions). Disable for
-  // the synchronous-upload ablation baseline.
+  // Async upload pipeline (kRocksMash): cloud-level installs enqueue their
+  // PUT on an upload pool and serve reads from the local staging copy until
+  // durable (see TieredStorageOptions). Disable for the synchronous-upload
+  // ablation baseline.
   bool async_uploads = true;
   int upload_threads = 2;
 
@@ -124,90 +140,7 @@ struct SchemeOptions {
   uint32_t stats_dump_period_sec = 0;
 };
 
-struct KVStoreStats {
-  TableStorageStats storage;
-  ObjectStore::OpCounters cloud_ops;
-  Cache::Stats block_cache;
-  PersistentCacheStats persistent_cache;  // kRocksMash only
-  uint64_t file_cache_hits = 0;           // kCloudSstCache only
-  uint64_t file_cache_misses = 0;
-  uint64_t file_cache_bytes = 0;
-  RecoveryStats recovery;
-};
-
-// A KVStore is a scheme wrapper around one engine DB: the only virtuals are
-// the engine accessor and scheme-specific telemetry. The whole data path —
-// including the batched MultiGet and the unique_ptr iterator API — is
-// forwarded to DB non-virtually, so every scheme exposes exactly the DB
-// interface by construction instead of by hand-written duplication.
-class KVStore {
- public:
-  virtual ~KVStore() = default;
-
-  // The engine underneath the scheme (owned by the store, never null).
-  virtual DB* db() const = 0;
-
-  virtual const char* Name() const = 0;
-  virtual KVStoreStats Stats() const = 0;
-
-  // The Statistics object this store was opened with (nullptr if none).
-  virtual Statistics* statistics() const = 0;
-
-  // DB-shaped core, forwarded to db().
-  Status Put(const WriteOptions& o, const Slice& key, const Slice& value) {
-    return db()->Put(o, key, value);
-  }
-  Status Delete(const WriteOptions& o, const Slice& key) {
-    return db()->Delete(o, key);
-  }
-  Status Write(const WriteOptions& o, WriteBatch* batch) {
-    return db()->Write(o, batch);
-  }
-  Status Get(const ReadOptions& o, const Slice& key, PinnableSlice* value) {
-    return db()->Get(o, key, value);
-  }
-  Status Get(const ReadOptions& o, const Slice& key, std::string* value) {
-    return db()->Get(o, key, value);
-  }
-  void MultiGet(const ReadOptions& o, const std::vector<Slice>& keys,
-                std::vector<PinnableSlice>* values,
-                std::vector<Status>* statuses) {
-    db()->MultiGet(o, keys, values, statuses);
-  }
-  void MultiGet(const ReadOptions& o, const std::vector<Slice>& keys,
-                std::vector<std::string>* values,
-                std::vector<Status>* statuses) {
-    db()->MultiGet(o, keys, values, statuses);
-  }
-  std::unique_ptr<Iterator> NewIterator(const ReadOptions& o) {
-    return db()->NewIterator(o);
-  }
-  Status FlushMemTable() { return db()->FlushMemTable(); }
-  void WaitForCompaction() { db()->WaitForCompaction(); }
-
-  // Operation tracing (see docs/TRACING.md).
-  Status StartTrace(const trace::TraceOptions& trace_options,
-                    const std::string& trace_file_path) {
-    return db()->StartTrace(trace_options, trace_file_path);
-  }
-  Status EndTrace() { return db()->EndTrace(); }
-
-  // Engine introspection ("rocksmash.stats", "rocksmash.prometheus",
-  // "rocksmash.ticker.<name>", ...), string- and map-valued.
-  bool GetProperty(const Slice& property, std::string* value) {
-    return db()->GetProperty(property, value);
-  }
-  bool GetProperty(const Slice& property,
-                   std::map<std::string, std::string>* value) {
-    return db()->GetProperty(property, value);
-  }
-};
-
-Status OpenKVStore(const SchemeOptions& options,
-                   std::unique_ptr<KVStore>* store);
-
-// The rocksdb-cloud-style whole-SST-file cache storage, exposed for direct
-// testing.
+// Counters of the whole-SST-file cache storage (kCloudSstCache).
 struct SstFileCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -215,6 +148,151 @@ struct SstFileCacheStats {
   uint64_t evictions = 0;
 };
 
+struct KVStoreStats {
+  TableStorageStats storage;  // Summed over the shards
+  ObjectStore::OpCounters cloud_ops;
+  Cache::Stats block_cache;
+  PersistentCacheStats persistent_cache;  // kRocksMash only
+  uint64_t file_cache_hits = 0;           // kCloudSstCache only
+  uint64_t file_cache_misses = 0;
+  uint64_t file_cache_bytes = 0;
+  RecoveryStats recovery;
+
+  // The store's footprint on local disk: local-tier tables, persistent-cache
+  // extents and metadata slabs, and whole-file cache copies. The local
+  // figure to price with CostMeter::MonthlyCost.
+  uint64_t LocalBytes() const {
+    return storage.local_bytes + persistent_cache.disk_bytes +
+           persistent_cache.metadata.bytes + file_cache_bytes;
+  }
+};
+
+// A store: one engine DB (a ShardedDB router when num_shards > 1) plus the
+// scheme's per-shard table storages, eWALs and persistent cache, all owned
+// here. The data path — including the batched MultiGet and the unique_ptr
+// iterator API — forwards to db(). Built only by OpenKVStore.
+class KVStore {
+ public:
+  KVStore(const KVStore&) = delete;
+  KVStore& operator=(const KVStore&) = delete;
+
+  // The engine underneath the scheme (owned by the store, never null).
+  DB* db() const { return db_.get(); }
+
+  const char* Name() const { return SchemeName(options_.kind); }
+  KVStoreStats Stats() const;
+
+  // The options this store was opened with (env resolved).
+  const SchemeOptions& options() const { return options_; }
+
+  // The Statistics object this store was opened with (nullptr if none).
+  Statistics* statistics() const { return options_.statistics; }
+
+  // DB-shaped core, forwarded to db().
+  Status Put(const WriteOptions& o, const Slice& key, const Slice& value) {
+    return db_->Put(o, key, value);
+  }
+  Status Delete(const WriteOptions& o, const Slice& key) {
+    return db_->Delete(o, key);
+  }
+  Status Write(const WriteOptions& o, WriteBatch* batch) {
+    return db_->Write(o, batch);
+  }
+  Status Get(const ReadOptions& o, const Slice& key, PinnableSlice* value) {
+    return db_->Get(o, key, value);
+  }
+  Status Get(const ReadOptions& o, const Slice& key, std::string* value) {
+    return db_->Get(o, key, value);
+  }
+  void MultiGet(const ReadOptions& o, const std::vector<Slice>& keys,
+                std::vector<PinnableSlice>* values,
+                std::vector<Status>* statuses) {
+    db_->MultiGet(o, keys, values, statuses);
+  }
+  void MultiGet(const ReadOptions& o, const std::vector<Slice>& keys,
+                std::vector<std::string>* values,
+                std::vector<Status>* statuses) {
+    db_->MultiGet(o, keys, values, statuses);
+  }
+  std::unique_ptr<Iterator> NewIterator(const ReadOptions& o) {
+    return db_->NewIterator(o);
+  }
+  Status FlushMemTable() { return db_->FlushMemTable(); }
+  // Also drains every shard's pending cloud uploads.
+  void WaitForCompaction() { db_->WaitForCompaction(); }
+
+  // Operation tracing (see docs/TRACING.md).
+  Status StartTrace(const trace::TraceOptions& trace_options,
+                    const std::string& trace_file_path) {
+    return db_->StartTrace(trace_options, trace_file_path);
+  }
+  Status EndTrace() { return db_->EndTrace(); }
+
+  // Engine introspection ("rocksmash.stats", "rocksmash.prometheus",
+  // "rocksmash.ticker.<name>", ...), string- and map-valued.
+  bool GetProperty(const Slice& property, std::string* value) {
+    return db_->GetProperty(property, value);
+  }
+  bool GetProperty(const Slice& property,
+                   std::map<std::string, std::string>* value) {
+    return db_->GetProperty(property, value);
+  }
+
+ private:
+  friend Status OpenKVStore(const SchemeOptions& options,
+                            std::unique_ptr<KVStore>* store);
+  explicit KVStore(const SchemeOptions& options) : options_(options) {}
+
+  SchemeOptions options_;
+  // Members are destroyed bottom-up: the engine first (it uses the WALs
+  // and storages), then the WALs, the storages, the persistent cache they
+  // read through, and last the shared pools everything may schedule on.
+  std::shared_ptr<SharedResources> shared_resources_;
+  // Owned when the store has no SharedResources; block_cache_ points at
+  // the cache the engine uses either way.
+  std::unique_ptr<Cache> owned_block_cache_;
+  Cache* block_cache_ = nullptr;
+  std::unique_ptr<PersistentCache> pcache_;  // kRocksMash only
+  // One per shard (a single entry when num_shards == 1).
+  std::vector<std::unique_ptr<TableStorage>> storages_;
+  // kRocksMash with wal_segments > 1: one eWAL per shard. Otherwise empty
+  // and each shard's engine keeps its own classic WAL.
+  std::vector<std::unique_ptr<WalManager>> wals_;
+  // kCloudSstCache: one counter block per shard, so concurrent shards never
+  // race on a shared struct; Stats() sums them.
+  std::vector<std::shared_ptr<SstFileCacheStats>> file_cache_stats_;
+  std::unique_ptr<DB> db_;
+};
+
+// Opens (or creates) the store `options` describes: the one open path for
+// every scheme and shard count. Cloud-backed schemes without
+// options.cloud, and shard counts that contradict the store's SHARDS
+// marker, return InvalidArgument.
+Status OpenKVStore(const SchemeOptions& options,
+                   std::unique_ptr<KVStore>* store);
+
+// Disaster recovery for a single-shard kRocksMash store: flushes, drains
+// uploads, then puts CURRENT, its manifest and every local-tier SST under
+// `backup_prefix` in the store's bucket (cloud-tier SSTs are already there
+// and are shared, not copied). After OK the store is reconstructible from
+// the bucket alone.
+Status BackupToCloud(KVStore* store,
+                     const std::string& backup_prefix = "backup");
+
+// Rebuilds a single-shard kRocksMash store from a BackupToCloud snapshot
+// into options.local_dir, which must not hold a store yet, then opens it.
+// NotFound when there is no backup under `backup_prefix`.
+//
+// The snapshot is zero-copy for cloud-tier SSTs: the restored store
+// references the same table objects. Run the original OR the restore
+// against a bucket, never both — either side's compaction deletes objects
+// the other still references.
+Status RestoreFromCloud(const SchemeOptions& options,
+                        const std::string& backup_prefix,
+                        std::unique_ptr<KVStore>* store);
+
+// The rocksdb-cloud-style whole-SST-file cache storage, exposed for direct
+// testing.
 std::unique_ptr<TableStorage> NewCloudSstCacheStorage(
     Env* env, const std::string& local_dir, ObjectStore* cloud,
     const std::string& cloud_prefix, uint64_t cache_budget_bytes,

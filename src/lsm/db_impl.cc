@@ -3164,7 +3164,7 @@ Status DB::Open(const DBOptions& options, const std::string& dbname,
   dbptr->reset();
 
   // The single validation point for BlobOptions, whichever surface
-  // (DBOptions, SchemeOptions, RocksMashOptions) they arrived through.
+  // (DBOptions or SchemeOptions) they arrived through.
   Status blob_valid = ValidateBlobOptions(options.blob);
   if (!blob_valid.ok()) return blob_valid;
 

@@ -26,8 +26,8 @@ class Statistics;
 class EventListener;
 
 // Key-value separation knobs (see DESIGN.md "Value separation"). One struct
-// embedded in DBOptions / SchemeOptions / RocksMashOptions so every surface
-// shares the same fields and the single ValidateBlobOptions path.
+// embedded in DBOptions and SchemeOptions so both surfaces share the same
+// fields and the single ValidateBlobOptions path.
 struct BlobOptions {
   // Master switch: off keeps every value inline in the SSTs.
   bool enable = false;

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "env/env.h"
+#include "lsm/filename.h"
 #include "lsm/shared_resources.h"
 #include "table/merger.h"
 #include "util/hash.h"
@@ -123,6 +124,9 @@ Status ShardedDB::Open(const std::vector<ShardSpec>& specs,
   if (specs.empty()) {
     return Status::InvalidArgument("ShardedDB::Open", "no shard specs");
   }
+  if (specs.size() == 1) {
+    return DB::Open(specs[0].options, specs[0].path, dbptr);
+  }
   if (specs.size() > 4096) {
     return Status::InvalidArgument("ShardedDB::Open", "too many shards");
   }
@@ -151,72 +155,97 @@ Status ShardedDB::Open(const std::vector<ShardSpec>& specs,
   return Status::OK();
 }
 
-Status ShardedDB::Open(const DBOptions& base, const std::string& name,
-                       int num_shards, std::unique_ptr<DB>* dbptr) {
-  dbptr->reset();
+Status ShardedDB::PrepareShards(const DBOptions& base, const std::string& name,
+                                int num_shards,
+                                SharedResourcesOptions resources,
+                                std::vector<ShardSpec>* specs) {
+  specs->clear();
   if (num_shards < 1) {
-    return Status::InvalidArgument("ShardedDB::Open",
+    return Status::InvalidArgument("ShardedDB::PrepareShards",
                                    "num_shards must be >= 1");
-  }
-  if (base.table_storage != nullptr || base.wal_manager != nullptr) {
-    return Status::InvalidArgument(
-        "ShardedDB::Open",
-        "table_storage/wal_manager are per-shard; use the ShardSpec overload");
   }
   Env* env = base.env != nullptr ? base.env : Env::Default();
   Status s = env->CreateDirRecursively(name);
-  if (!s.ok()) return s;
+  if (!s.ok() && !env->FileExists(name)) return s;
 
-  // Persist (or verify) the shard count: the routing hash is a function of
-  // num_shards, so reopening with a different count would strand keys in
-  // directories no route reaches.
+  // The routing hash is a function of num_shards, so the count is part of
+  // the on-disk layout: a store reopened with another count would strand
+  // keys in directories no route reaches.
   int existing = 0;
   s = ReadShardMarker(env, name, &existing);
+  // A marker means shard directories, even for one shard.
+  const bool sharded = s.ok() || num_shards > 1;
   if (s.ok()) {
     if (existing != num_shards) {
       return Status::InvalidArgument(
-          "ShardedDB::Open",
-          "shard count mismatch: marker has " + std::to_string(existing) +
-              ", requested " + std::to_string(num_shards));
+          name, "shard count mismatch: marker has " +
+                    std::to_string(existing) + ", requested " +
+                    std::to_string(num_shards));
     }
-  } else if (s.IsNotFound()) {
+  } else if (!s.IsNotFound()) {
+    return s;
+  } else if (num_shards > 1) {
+    // No marker: a CURRENT file means the directory holds an unsharded
+    // store, whose data the shard directories would hide.
+    if (env->FileExists(CurrentFileName(name))) {
+      return Status::InvalidArgument(
+          name, "holds an unsharded store; cannot open it with " +
+                    std::to_string(num_shards) + " shards");
+    }
     if (!base.create_if_missing) {
       return Status::InvalidArgument(name, "does not exist (sharded)");
     }
     s = WriteStringToFile(env, std::to_string(num_shards) + "\n",
                           name + "/" + kShardMarkerFile, /*sync=*/true);
     if (!s.ok()) return s;
-  } else {
-    return s;
+  }
+
+  if (!sharded) {
+    specs->push_back(ShardSpec{base, name});
+    return Status::OK();
   }
 
   // One SharedResources for the group: a single cache/statistics budget and
   // one flush/compaction lane pair regardless of N.
   std::shared_ptr<SharedResources> shared = base.shared_resources;
   if (shared == nullptr) {
-    SharedResourcesOptions sr;
-    sr.statistics = base.statistics;
-    sr.flush_threads = std::max(base.max_background_flushes,
-                                std::min(num_shards, 4));
-    sr.compaction_threads = std::max(base.max_background_compactions,
-                                     std::min(num_shards, 4));
-    s = SharedResources::Create(sr, &shared);
+    resources.statistics = base.statistics;
+    resources.flush_threads =
+        std::max(base.max_background_flushes, std::min(num_shards, 4));
+    resources.compaction_threads =
+        std::max(base.max_background_compactions, std::min(num_shards, 4));
+    s = SharedResources::Create(resources, &shared);
     if (!s.ok()) return s;
   }
 
-  std::vector<ShardSpec> specs(static_cast<size_t>(num_shards));
   for (int i = 0; i < num_shards; i++) {
-    DBOptions opts = base;
-    opts.shared_resources = shared;
+    ShardSpec spec{base, ShardPath(name, i)};
+    spec.options.shared_resources = shared;
     // Keep the group's total memtable budget at the unsharded value: each
     // shard flushes at 1/N (floored so tiny configs stay usable).
-    opts.write_buffer_size = std::max<size_t>(
+    spec.options.write_buffer_size = std::max<size_t>(
         base.write_buffer_size / static_cast<size_t>(num_shards), 256 * 1024);
-    specs[static_cast<size_t>(i)].options = opts;
-    specs[static_cast<size_t>(i)].path = ShardPath(name, i);
-    s = env->CreateDirRecursively(specs[static_cast<size_t>(i)].path);
+    // One stats-dump thread for the group is plenty.
+    if (i > 0) spec.options.stats_dump_period_sec = 0;
+    s = env->CreateDirRecursively(spec.path);
     if (!s.ok()) return s;
+    specs->push_back(std::move(spec));
   }
+  return Status::OK();
+}
+
+Status ShardedDB::Open(const DBOptions& base, const std::string& name,
+                       int num_shards, std::unique_ptr<DB>* dbptr) {
+  dbptr->reset();
+  if (base.table_storage != nullptr || base.wal_manager != nullptr) {
+    return Status::InvalidArgument(
+        "ShardedDB::Open",
+        "table_storage/wal_manager are per-shard; use PrepareShards");
+  }
+  std::vector<ShardSpec> specs;
+  Status s = PrepareShards(base, name, num_shards, SharedResourcesOptions(),
+                           &specs);
+  if (!s.ok()) return s;
   return Open(specs, dbptr);
 }
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "lsm/db.h"
+#include "lsm/shared_resources.h"
 #include "util/mutexlock.h"
 
 namespace rocksmash {
@@ -50,32 +51,47 @@ class ShardedDB : public DB {
     std::string path;
   };
 
-  // Opens one engine shard per spec (in order; spec i is shard i). On any
+  // Opens one engine shard per spec (in order; spec i is shard i). A single
+  // spec opens as the plain engine DB, with no router in front. On any
   // shard failing to open, already-opened shards are closed and *dbptr
   // stays null. Spec paths/directories are the caller's responsibility.
   static Status Open(const std::vector<ShardSpec>& specs,
                      std::unique_ptr<DB>* dbptr);
 
-  // Convenience open for plain local shards: creates `name` plus
-  // `name/shard-<i>` directories, persists the shard count in a
-  // `name/SHARDS` marker (reopening with a different count returns
-  // InvalidArgument), and gives every shard `base` with a common
-  // SharedResources (created from the base knobs when base.shared_resources
-  // is null). base.table_storage / base.wal_manager must be null — those
-  // are per-shard objects; use the ShardSpec overload to supply them.
+  // Lays out a group of `num_shards` shards at `name` and returns one spec
+  // per shard: the one place the SHARDS marker is checked and a group's
+  // SharedResources is created. One shard is the plain DB directory `name`
+  // with `base` unchanged and no marker (unless a marker already names one
+  // shard). Otherwise shards live in `name/shard-<i>`, and each spec is
+  // `base` with one SharedResources for the group (base's own, else a new
+  // one built from `resources` with lanes for up to four shards), 1/N of
+  // the memtable budget, and the group's only stats-dump thread on shard 0.
+  // The marker persists N: reopening with another count, or sharding a
+  // store that already holds unsharded data, returns InvalidArgument.
+  // Callers add per-shard table storage and WALs before opening the specs.
+  static Status PrepareShards(const DBOptions& base, const std::string& name,
+                              int num_shards,
+                              SharedResourcesOptions resources,
+                              std::vector<ShardSpec>* specs);
+
+  // Convenience open for plain local shards: PrepareShards with default
+  // SharedResourcesOptions, then Open. base.table_storage /
+  // base.wal_manager must be null — those are per-shard objects; use
+  // PrepareShards and the ShardSpec overload to supply them.
   static Status Open(const DBOptions& base, const std::string& name,
                      int num_shards, std::unique_ptr<DB>* dbptr);
 
-  // Removes a convenience-layout sharded DB: every shard directory listed
-  // by the SHARDS marker, the marker, and `name` itself.
+  // Removes a store laid out by PrepareShards: every shard directory listed
+  // by the SHARDS marker, the marker, and `name` itself (a plain DestroyDB
+  // when there is no marker).
   static Status Destroy(const DBOptions& options, const std::string& name);
 
   // The routing function: fastrange over the upper 32 hash bits, so the
   // low bits stay independent for memtable/filter/cache hashing.
   static uint32_t ShardOfKey(const Slice& key, uint32_t num_shards);
 
-  // Reads the `name/SHARDS` marker written by the convenience Open.
-  // NotFound when the DB was never opened sharded.
+  // Reads the `name/SHARDS` marker written by PrepareShards. NotFound when
+  // the DB was never opened sharded.
   static Status ReadShardMarker(Env* env, const std::string& name,
                                 int* num_shards);
 

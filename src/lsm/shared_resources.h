@@ -7,9 +7,9 @@
 // block cache (one memory budget), one persistent-cache handle, one cloud
 // fetch pool, and one flush/compaction lane pair, or the process multiplies
 // its memory and thread footprint by N. SharedResources owns those
-// singletons explicitly; DBOptions / SchemeOptions / RocksMashOptions carry
-// a handle, and every layer that used to construct its own resource takes
-// it as a dependency instead. See DESIGN.md "Sharding & shared resources".
+// singletons explicitly; DBOptions and SchemeOptions carry a handle, and
+// every layer that used to construct its own resource takes it as a
+// dependency instead. See DESIGN.md "Sharding & shared resources".
 #pragma once
 
 #include <cstddef>

@@ -72,7 +72,7 @@ struct TieredStorageOptions {
   // enters state kUploading and keeps serving reads from its local staging
   // copy; only when the PUT is durable does it become kCloud and the local
   // copy deletable. Off by default so directly-constructed storages keep the
-  // synchronous semantics; RocksMashOptions/SchemeOptions turn it on.
+  // synchronous semantics; SchemeOptions turns it on for kRocksMash.
   bool async_uploads = false;
   int upload_threads = 2;
 

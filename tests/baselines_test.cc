@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <tuple>
 
 #include "env/env.h"
 #include "util/clock.h"
@@ -120,6 +122,128 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SchemeKind>& param_info) {
       return SchemeName(param_info.param);
     });
+
+// Every scheme opened through OpenKVStore, unsharded and over four shards:
+// data written past the cloud levels, flushed, compacted and reopened must
+// read back exactly, and Stats() must sum the tiers over every shard.
+class ShardedSchemeTest
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, int>> {
+ protected:
+  SchemeKind kind() const { return std::get<0>(GetParam()); }
+  int num_shards() const { return std::get<1>(GetParam()); }
+};
+
+TEST_P(ShardedSchemeTest, ModelSurvivesCompactionAndReopen) {
+  const std::string dir = ::testing::TempDir() + "/rocksmash_sharded_" +
+                          SchemeName(kind()) + "_" +
+                          std::to_string(num_shards());
+  std::filesystem::remove_all(dir);
+  SimClock clock;
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  model.get_first_byte_micros = 10;
+  model.put_first_byte_micros = 10;
+  auto cloud = NewMemObjectStore(&clock, model);
+
+  SchemeOptions options;
+  options.kind = kind();
+  options.local_dir = dir;
+  options.cloud = kind() == SchemeKind::kLocalOnly ? nullptr : cloud.get();
+  options.write_buffer_size = 64 * 1024;
+  options.max_file_size = 64 * 1024;
+  options.local_cache_bytes = 1 << 20;
+  options.cloud_level_start = 1;
+  options.num_shards = num_shards();
+
+  std::map<std::string, std::string> expected;
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(options, &store).ok());
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < 4000; i++) {
+      char key[32];
+      snprintf(key, sizeof(key), "key%06d", i);
+      if (round == 1 && i % 5 == 0) {
+        ASSERT_TRUE(store->Delete(WriteOptions(), key).ok());
+        expected.erase(key);
+        continue;
+      }
+      const std::string value =
+          "value" + std::to_string(round) + "-" + std::string(100, 'v');
+      ASSERT_TRUE(store->Put(WriteOptions(), key, value).ok());
+      expected[key] = value;
+    }
+    ASSERT_TRUE(store->FlushMemTable().ok());
+  }
+  ASSERT_TRUE(store->db()->CompactRange(nullptr, nullptr).ok());
+  store->WaitForCompaction();
+
+  // Every shard holds data, so summed counts reach at least the shard count.
+  const KVStoreStats stats = store->Stats();
+  const uint64_t shards = static_cast<uint64_t>(num_shards());
+  if (kind() == SchemeKind::kLocalOnly) {
+    EXPECT_GE(stats.storage.local_files, shards);
+    EXPECT_EQ(0u, stats.storage.cloud_files);
+  } else {
+    EXPECT_GE(stats.storage.cloud_files, shards);
+  }
+  if (kind() == SchemeKind::kRocksMash) {
+    EXPECT_GT(stats.persistent_cache.metadata.slabs, 0u);
+  }
+  store.reset();
+
+  ASSERT_TRUE(OpenKVStore(options, &store).ok());
+  std::string value;
+  for (int i = 0; i < 4000; i++) {
+    char key[32];
+    snprintf(key, sizeof(key), "key%06d", i);
+    Status s = store->Get(ReadOptions(), key, &value);
+    auto it = expected.find(key);
+    if (it == expected.end()) {
+      EXPECT_TRUE(s.IsNotFound()) << key << ": " << s.ToString();
+    } else {
+      ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+      EXPECT_EQ(it->second, value) << key;
+    }
+  }
+
+  // The persistent cache's metadata region is reloaded warm on reopen.
+  if (kind() == SchemeKind::kRocksMash) {
+    EXPECT_GT(store->Stats().persistent_cache.metadata.slabs, 0u);
+  }
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemesAndShardCounts, ShardedSchemeTest,
+    ::testing::Combine(::testing::Values(SchemeKind::kLocalOnly,
+                                         SchemeKind::kCloudOnly,
+                                         SchemeKind::kCloudSstCache,
+                                         SchemeKind::kRocksMash),
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<SchemeKind, int>>&
+           param_info) {
+      return std::string(SchemeName(std::get<0>(param_info.param))) + "_" +
+             std::to_string(std::get<1>(param_info.param)) + "shards";
+    });
+
+TEST(OpenKVStoreTest, CloudSchemesRequireObjectStore) {
+  for (SchemeKind kind : {SchemeKind::kCloudOnly, SchemeKind::kCloudSstCache,
+                          SchemeKind::kRocksMash}) {
+    SchemeOptions options;
+    options.kind = kind;
+    options.local_dir = ::testing::TempDir() + "/rocksmash_nocloud_" +
+                        SchemeName(kind);
+    std::unique_ptr<KVStore> store;
+    Status s = OpenKVStore(options, &store);
+    EXPECT_TRUE(s.IsInvalidArgument()) << SchemeName(kind) << ": "
+                                       << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find("requires an object store"))
+        << s.ToString();
+    EXPECT_EQ(nullptr, store);
+    std::filesystem::remove_all(options.local_dir);
+  }
+}
 
 TEST(CloudSstCacheTest, FileCacheHitsOnRepeatedOpen) {
   std::string dir = ::testing::TempDir() + "/rocksmash_sstcache_direct";

@@ -13,13 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/kvstore.h"
 #include "cloud/object_store.h"
 #include "env/env.h"
 #include "lsm/db.h"
 #include "lsm/sharded_db.h"
 #include "mash/metadata_store.h"
 #include "mash/persistent_cache.h"
-#include "mash/rocksmash_db.h"
 #include "trace/trace_tools.h"
 #include "util/clock.h"
 #include "util/random.h"
@@ -340,7 +340,7 @@ TEST(ConcurrencyStressTest, MultiGetRacesFlushAndCompaction) {
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions options;
+  SchemeOptions options;  // kind = kRocksMash
   options.local_dir = dir + "/db";
   options.cloud = cloud.get();
   options.cloud_level_start = 0;  // Every SST uploads: batches constantly
@@ -350,10 +350,10 @@ TEST(ConcurrencyStressTest, MultiGetRacesFlushAndCompaction) {
   options.max_file_size = 16 * 1024;
   options.max_bytes_for_level_base = 64 * 1024;
   options.block_size = 1024;
-  options.persistent_cache_bytes = 32 * 1024;
+  options.local_cache_bytes = 32 * 1024;
 
-  std::unique_ptr<RocksMashDB> db;
-  ASSERT_TRUE(RocksMashDB::Open(options, &db).ok());
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(options, &db).ok());
 
   constexpr uint64_t kKeys = 1500;
   WriteOptions wo;
@@ -440,7 +440,7 @@ TEST(ConcurrencyStressTest, ScansRaceFlushCompactionAndPrefetch) {
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions options;
+  SchemeOptions options;  // kind = kRocksMash
   options.local_dir = dir + "/db";
   options.cloud = cloud.get();
   options.cloud_level_start = 0;  // Scans stream from cloud-resident SSTs.
@@ -449,11 +449,11 @@ TEST(ConcurrencyStressTest, ScansRaceFlushCompactionAndPrefetch) {
   options.max_file_size = 16 * 1024;
   options.max_bytes_for_level_base = 64 * 1024;
   options.block_size = 1024;
-  options.persistent_cache_bytes = 16 * 1024;
+  options.local_cache_bytes = 16 * 1024;
   options.prefix_length = 6;  // "key-00".."key-99" buckets of KeyOf()
 
-  std::unique_ptr<RocksMashDB> db;
-  ASSERT_TRUE(RocksMashDB::Open(options, &db).ok());
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(options, &db).ok());
 
   constexpr uint64_t kKeys = 1500;
   WriteOptions wo;

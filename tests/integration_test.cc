@@ -6,7 +6,7 @@
 #include <filesystem>
 
 #include "baselines/kvstore.h"
-#include "mash/rocksmash_db.h"
+#include "cloud/cost_meter.h"
 #include "util/clock.h"
 #include "util/random.h"
 
@@ -29,8 +29,8 @@ class MashIntegration : public ::testing::Test {
     options_.cloud_level_start = 1;
     options_.write_buffer_size = 64 * 1024;
     options_.max_file_size = 64 * 1024;
-    options_.persistent_cache_bytes = 1 << 20;
-    ASSERT_TRUE(RocksMashDB::Open(options_, &db_).ok());
+    options_.local_cache_bytes = 1 << 20;
+    ASSERT_TRUE(OpenKVStore(options_, &db_).ok());
   }
 
   void TearDown() override {
@@ -57,8 +57,8 @@ class MashIntegration : public ::testing::Test {
   SimClock clock_;
   std::string dir_;
   std::unique_ptr<ObjectStore> cloud_;
-  RocksMashOptions options_;
-  std::unique_ptr<RocksMashDB> db_;
+  SchemeOptions options_;  // kind = kRocksMash
+  std::unique_ptr<KVStore> db_;
 };
 
 TEST_F(MashIntegration, CompactionChurnInvalidatesCacheCorrectly) {
@@ -68,13 +68,13 @@ TEST_F(MashIntegration, CompactionChurnInvalidatesCacheCorrectly) {
   for (int i = 0; i < 5000; i += 7) {
     ASSERT_TRUE(db_->Get(ReadOptions(), Key(i), &value).ok());
   }
-  const auto before = db_->Stats().cache;
+  const auto before = db_->Stats().persistent_cache;
 
   // Overwrite everything and force a full rewrite: compaction deletes the
   // old cloud SSTs, whose cache extents must be invalidated wholesale.
   Load(5000, "v2-");
-  ASSERT_TRUE(db_->CompactRange(nullptr, nullptr).ok());
-  const auto after = db_->Stats().cache;
+  ASSERT_TRUE(db_->db()->CompactRange(nullptr, nullptr).ok());
+  const auto after = db_->Stats().persistent_cache;
   EXPECT_GT(after.invalidations, before.invalidations);
 
   // Reads must see only new values; stale cached blocks must never leak.
@@ -119,16 +119,16 @@ TEST_F(MashIntegration, ReadsSurviveTransientCloudFailures) {
 TEST_F(MashIntegration, MetadataRegionWarmAfterRestart) {
   Load(5000);
   auto stats_before = db_->Stats();
-  ASSERT_GT(stats_before.cache.metadata.slabs, 0u);
+  ASSERT_GT(stats_before.persistent_cache.metadata.slabs, 0u);
 
   // Restart the whole stack over the same directories/cloud.
   db_.reset();
-  ASSERT_TRUE(RocksMashDB::Open(options_, &db_).ok());
+  ASSERT_TRUE(OpenKVStore(options_, &db_).ok());
 
   auto stats_after_open = db_->Stats();
   // Slabs were reloaded from disk — warm before any read.
-  EXPECT_EQ(stats_before.cache.metadata.slabs,
-            stats_after_open.cache.metadata.slabs);
+  EXPECT_EQ(stats_before.persistent_cache.metadata.slabs,
+            stats_after_open.persistent_cache.metadata.slabs);
 
   const uint64_t cloud_gets_before = cloud_->Counters().gets;
   std::string value;
@@ -144,7 +144,7 @@ TEST_F(MashIntegration, MetadataRegionWarmAfterRestart) {
 
 TEST_F(MashIntegration, SnapshotsOverCloudData) {
   Load(2000, "old-");
-  const Snapshot* snap = db_->GetSnapshot();
+  const Snapshot* snap = db_->db()->GetSnapshot();
   Load(2000, "new-");
 
   ReadOptions ro;
@@ -156,7 +156,7 @@ TEST_F(MashIntegration, SnapshotsOverCloudData) {
     ASSERT_TRUE(db_->Get(ReadOptions(), Key(i), &value).ok());
     EXPECT_EQ("new-" + std::to_string(i), value);
   }
-  db_->ReleaseSnapshot(snap);
+  db_->db()->ReleaseSnapshot(snap);
 }
 
 TEST_F(MashIntegration, ScansOverTieredTree) {
@@ -176,21 +176,24 @@ TEST_F(MashIntegration, ScansOverTieredTree) {
 
 TEST_F(MashIntegration, CostAccountingTracksTiering) {
   Load(10000);
-  auto stats = db_->Stats(/*hours_observed=*/1.0);
+  auto stats = db_->Stats();
   // The deep tree lives in the cloud; shallow levels + metadata local.
   EXPECT_GT(stats.storage.cloud_bytes, stats.storage.local_bytes);
-  EXPECT_GT(stats.monthly_cost.cloud_storage_usd, 0.0);
-  EXPECT_GT(stats.monthly_cost.cloud_requests_usd, 0.0);
+  CostMeter meter;
+  const CostBreakdown cost = meter.MonthlyCost(
+      cloud_->BytesStored(), stats.LocalBytes(), stats.cloud_ops,
+      /*hours_observed=*/1.0);
+  EXPECT_GT(cost.cloud_storage_usd, 0.0);
+  EXPECT_GT(cost.cloud_requests_usd, 0.0);
 
   // A LocalOnly store of the same data must cost more in storage $/GB
   // terms: compare per-byte prices through the meter directly.
-  CostMeter meter(options_.price_card);
   ObjectStore::OpCounters no_ops;
   auto all_local = meter.MonthlyCost(0, stats.storage.cloud_bytes +
                                             stats.storage.local_bytes,
                                      no_ops, 1.0);
-  EXPECT_GT(all_local.total(), stats.monthly_cost.cloud_storage_usd +
-                                   stats.monthly_cost.local_storage_usd);
+  EXPECT_GT(all_local.total(),
+            cost.cloud_storage_usd + cost.local_storage_usd);
 }
 
 TEST_F(MashIntegration, DeleteAcrossTiers) {
@@ -213,10 +216,10 @@ TEST_F(MashIntegration, DeleteAcrossTiers) {
 }
 
 TEST_F(MashIntegration, PersistentCacheBudgetHolds) {
-  options_.persistent_cache_bytes = 128 * 1024;  // Tight budget.
+  options_.local_cache_bytes = 128 * 1024;  // Tight budget.
   db_.reset();
   std::filesystem::remove_all(dir_);
-  ASSERT_TRUE(RocksMashDB::Open(options_, &db_).ok());
+  ASSERT_TRUE(OpenKVStore(options_, &db_).ok());
 
   // Incompressible values so block compression cannot shrink the working
   // set under the budget.
@@ -233,7 +236,7 @@ TEST_F(MashIntegration, PersistentCacheBudgetHolds) {
   for (int i = 0; i < 10000; i += 3) {
     ASSERT_TRUE(db_->Get(ReadOptions(), Key(i), &value).ok());
   }
-  auto stats = db_->Stats().cache;
+  auto stats = db_->Stats().persistent_cache;
   EXPECT_LE(stats.data_bytes, 128u * 1024u);
   EXPECT_GT(stats.evicted_bytes, 0u);
 }

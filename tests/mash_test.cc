@@ -1,16 +1,17 @@
 // Tests for the RocksMash core: metadata store, persistent cache (both
-// layouts), tiered placement, and the RocksMashDB facade.
+// layouts), tiered placement, and the assembled kRocksMash store.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
+#include "baselines/kvstore.h"
+#include "cloud/cost_meter.h"
 #include "cloud/object_store.h"
 #include "env/env.h"
 #include "lsm/filename.h"
 #include "mash/metadata_store.h"
 #include "mash/persistent_cache.h"
 #include "mash/placement.h"
-#include "mash/rocksmash_db.h"
 #include "table/table.h"
 #include "table/table_builder.h"
 #include "util/clock.h"
@@ -456,16 +457,16 @@ TEST_F(PlacementTest, HeatPinningDownloadsHotFile) {
   EXPECT_TRUE(storage_->IsLocal(18));  // Pinned now.
 }
 
-// ---------- RocksMashDB facade ----------
+// ---------- The kRocksMash store ----------
 
-TEST(RocksMashDBTest, EndToEnd) {
+TEST(RocksMashStoreTest, EndToEnd) {
   std::string dir = TestDir("mashdb");
   SimClock clock;
   CloudLatencyModel model;
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions opt;
+  SchemeOptions opt;
   opt.local_dir = dir;
   opt.cloud = cloud.get();
   opt.cloud_level_start = 1;
@@ -473,8 +474,8 @@ TEST(RocksMashDBTest, EndToEnd) {
   opt.max_file_size = 64 * 1024;
   opt.wal_segments = 4;
 
-  std::unique_ptr<RocksMashDB> db;
-  ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(opt, &db).ok());
 
   // Enough data to reach cloud levels.
   for (int i = 0; i < 5000; i++) {
@@ -495,14 +496,17 @@ TEST(RocksMashDBTest, EndToEnd) {
 
   auto stats = db->Stats();
   EXPECT_GT(stats.storage.cloud_files, 0u);     // Data actually tiered.
-  EXPECT_GT(stats.cache.metadata.slabs, 0u);    // Metadata region in use.
-  EXPECT_GT(stats.monthly_cost.total(), 0.0);
+  EXPECT_GT(stats.persistent_cache.metadata.slabs, 0u);  // Metadata region.
+  EXPECT_GT(stats.LocalBytes(), stats.storage.local_bytes);
+  const CostBreakdown cost = CostMeter().MonthlyCost(
+      cloud->BytesStored(), stats.LocalBytes(), stats.cloud_ops, 1.0);
+  EXPECT_GT(cost.total(), 0.0);
 
   db.reset();
   std::filesystem::remove_all(dir);
 }
 
-TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
+TEST(RocksMashStoreTest, BackupAndRestoreFromBucketAlone) {
   std::string dir = TestDir("mash_backup");
   std::string restore_dir = TestDir("mash_restore");
   SimClock clock;
@@ -513,7 +517,7 @@ TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
   model.list_micros = 1;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions opt;
+  SchemeOptions opt;
   opt.local_dir = dir;
   opt.cloud = cloud.get();
   opt.cloud_level_start = 1;
@@ -521,25 +525,24 @@ TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
   opt.max_file_size = 64 * 1024;
 
   {
-    std::unique_ptr<RocksMashDB> db;
-    ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+    std::unique_ptr<KVStore> db;
+    ASSERT_TRUE(OpenKVStore(opt, &db).ok());
     for (int i = 0; i < 4000; i++) {
       ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(i),
                           "value" + std::to_string(i))
                       .ok());
     }
-    ASSERT_TRUE(db->BackupToCloud("backup").ok());
+    ASSERT_TRUE(BackupToCloud(db.get(), "backup").ok());
     // Simulate total local-media loss: the original store and all its local
     // state vanish; only the bucket remains.
     db.reset();
   }
   std::filesystem::remove_all(dir);
 
-  RocksMashOptions ropt = opt;
+  SchemeOptions ropt = opt;
   ropt.local_dir = restore_dir;
-  std::unique_ptr<RocksMashDB> restored;
-  ASSERT_TRUE(
-      RocksMashDB::RestoreFromCloud(ropt, "backup", &restored).ok());
+  std::unique_ptr<KVStore> restored;
+  ASSERT_TRUE(RestoreFromCloud(ropt, "backup", &restored).ok());
   std::string value;
   for (int i = 0; i < 4000; i += 37) {
     ASSERT_TRUE(
@@ -549,36 +552,68 @@ TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
   }
 
   // Restoring into a non-empty directory is refused.
-  std::unique_ptr<RocksMashDB> dup;
-  EXPECT_FALSE(
-      RocksMashDB::RestoreFromCloud(ropt, "backup", &dup).ok());
+  std::unique_ptr<KVStore> dup;
+  Status s = RestoreFromCloud(ropt, "backup", &dup);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   restored.reset();
   std::filesystem::remove_all(restore_dir);
 }
 
-TEST(RocksMashDBTest, RestoreMissingBackupFails) {
+TEST(RocksMashStoreTest, RestoreMissingBackupFails) {
   std::string dir = TestDir("mash_norestore");
   SimClock clock;
   CloudLatencyModel model;
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
-  RocksMashOptions opt;
+  SchemeOptions opt;
   opt.local_dir = dir;
   opt.cloud = cloud.get();
-  std::unique_ptr<RocksMashDB> db;
-  Status s = RocksMashDB::RestoreFromCloud(opt, "nothing-here", &db);
+  std::unique_ptr<KVStore> db;
+  Status s = RestoreFromCloud(opt, "nothing-here", &db);
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
   std::filesystem::remove_all(dir);
 }
 
-TEST(RocksMashDBTest, ReopenRecoversFromEWalAndCloud) {
+TEST(RocksMashStoreTest, BackupAndRestoreNeedOneShardRocksMashStore) {
+  std::string dir = TestDir("mash_backup_shards");
+  SimClock clock;
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  auto cloud = NewMemObjectStore(&clock, model);
+  SchemeOptions opt;
+  opt.local_dir = dir;
+  opt.cloud = cloud.get();
+  opt.num_shards = 2;
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(opt, &db).ok());
+  Status s = BackupToCloud(db.get(), "backup");
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  db.reset();
+  std::filesystem::remove_all(dir);
+  s = RestoreFromCloud(opt, "backup", &db);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+
+  // Only the tiered store knows how to rebuild itself from the bucket.
+  opt.num_shards = 1;
+  opt.kind = SchemeKind::kCloudOnly;
+  ASSERT_TRUE(OpenKVStore(opt, &db).ok());
+  s = BackupToCloud(db.get(), "backup");
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  db.reset();
+  std::filesystem::remove_all(dir);
+  s = RestoreFromCloud(opt, "backup", &db);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RocksMashStoreTest, ReopenRecoversFromEWalAndCloud) {
   std::string dir = TestDir("mashdb_reopen");
   SimClock clock;
   CloudLatencyModel model;
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions opt;
+  SchemeOptions opt;
   opt.local_dir = dir;
   opt.cloud = cloud.get();
   opt.cloud_level_start = 1;
@@ -587,8 +622,8 @@ TEST(RocksMashDBTest, ReopenRecoversFromEWalAndCloud) {
   opt.wal_segments = 4;
 
   {
-    std::unique_ptr<RocksMashDB> db;
-    ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+    std::unique_ptr<KVStore> db;
+    ASSERT_TRUE(OpenKVStore(opt, &db).ok());
     for (int i = 0; i < 3000; i++) {
       ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(i),
                           "value" + std::to_string(i))
@@ -606,8 +641,8 @@ TEST(RocksMashDBTest, ReopenRecoversFromEWalAndCloud) {
   }
 
   {
-    std::unique_ptr<RocksMashDB> db;
-    ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+    std::unique_ptr<KVStore> db;
+    ASSERT_TRUE(OpenKVStore(opt, &db).ok());
     std::string value;
     for (int i = 0; i < 3100; i += 61) {
       ASSERT_TRUE(

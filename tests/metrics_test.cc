@@ -25,7 +25,6 @@
 #include "env/env.h"
 #include "mash/persistent_cache.h"
 #include "mash/placement.h"
-#include "mash/rocksmash_db.h"
 #include "util/clock.h"
 #include "util/event_listener.h"
 #include "util/metrics.h"
@@ -478,7 +477,7 @@ TEST(MetricsFullStack, MixedWorkloadPopulatesTieredTickers) {
   auto stats = CreateDBStatistics();
   CountingListener listener;
 
-  RocksMashOptions options;
+  SchemeOptions options;  // kind = kRocksMash
   options.local_dir = dir;
   options.cloud = cloud.get();
   options.cloud_level_start = 1;  // Everything below L0 is cloud-resident.
@@ -488,12 +487,12 @@ TEST(MetricsFullStack, MixedWorkloadPopulatesTieredTickers) {
   // RAM block cache too small to retain data blocks, so repeat reads must
   // come from the persistent cache or the cloud.
   options.block_cache_bytes = 1024;
-  options.persistent_cache_bytes = 1 << 20;
+  options.local_cache_bytes = 1 << 20;
   options.statistics = stats.get();
   options.listeners.push_back(&listener);
 
-  std::unique_ptr<RocksMashDB> db;
-  ASSERT_TRUE(RocksMashDB::Open(options, &db).ok());
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(options, &db).ok());
 
   Random64 rng(7);
   const size_t value_size = 400;
@@ -503,8 +502,7 @@ TEST(MetricsFullStack, MixedWorkloadPopulatesTieredTickers) {
     ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
   }
   ASSERT_TRUE(db->FlushMemTable().ok());
-  db->WaitForCompaction();
-  db->storage()->WaitForPendingUploads();
+  db->WaitForCompaction();  // Also drains the uploads.
 
   // Two read passes over the whole keyspace: the first faults cloud blocks
   // into the persistent cache, the second hits them there.

@@ -11,7 +11,6 @@
 
 #include "baselines/kvstore.h"
 #include "cloud/object_store.h"
-#include "mash/rocksmash_db.h"
 #include "util/clock.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -46,7 +45,7 @@ class MultiGetTest : public ::testing::Test {
     model.jitter_micros = 0;
     cloud_ = NewMemObjectStore(&clock_, model);
     stats_ = CreateDBStatistics();
-    RocksMashOptions o;
+    SchemeOptions o;  // kind = kRocksMash
     o.local_dir = dir_ + "/db";
     o.cloud = cloud_.get();
     o.cloud_level_start = cloud_level_start;
@@ -55,10 +54,10 @@ class MultiGetTest : public ::testing::Test {
     o.max_bytes_for_level_base = 64 << 10;
     o.block_size = 1024;
     o.block_cache_bytes = 16 << 10;
-    o.persistent_cache_bytes = 16 << 10;
+    o.local_cache_bytes = 16 << 10;
     o.cloud_readahead_bytes = readahead_bytes;
     o.statistics = stats_.get();
-    ASSERT_TRUE(RocksMashDB::Open(o, &db_).ok());
+    ASSERT_TRUE(OpenKVStore(o, &db_).ok());
   }
 
   void TearDown() override {
@@ -93,7 +92,7 @@ class MultiGetTest : public ::testing::Test {
   std::string dir_;
   std::unique_ptr<ObjectStore> cloud_;
   std::shared_ptr<Statistics> stats_;
-  std::unique_ptr<RocksMashDB> db_;
+  std::unique_ptr<KVStore> db_;
 };
 
 TEST_F(MultiGetTest, EmptyBatch) {
@@ -158,7 +157,7 @@ TEST_F(MultiGetTest, RespectsSnapshot) {
   for (uint64_t i = 0; i < 80; i++) {
     ASSERT_TRUE(db_->Put(wo, Key(i), Value(i, 0)).ok());
   }
-  const Snapshot* snap = db_->GetSnapshot();
+  const Snapshot* snap = db_->db()->GetSnapshot();
   for (uint64_t i = 0; i < 80; i += 2) {
     ASSERT_TRUE(db_->Put(wo, Key(i), Value(i, 9)).ok());
   }
@@ -195,7 +194,7 @@ TEST_F(MultiGetTest, RespectsSnapshot) {
       EXPECT_TRUE(statuses[i].IsNotFound()) << Key(i);
     }
   }
-  db_->ReleaseSnapshot(snap);
+  db_->db()->ReleaseSnapshot(snap);
 }
 
 // Duplicate keys (and neighbors in one block) must resolve with a single
@@ -208,8 +207,7 @@ TEST_F(MultiGetTest, CoalescesDuplicateBlocks) {
     ASSERT_TRUE(db_->Put(wo, Key(i), Value(i, 0)).ok());
   }
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  db_->WaitForCompaction();
-  db_->storage()->WaitForPendingUploads();
+  db_->WaitForCompaction();  // Also drains the uploads.
 
   std::vector<std::string> key_storage;
   for (int rep = 0; rep < 8; rep++) key_storage.push_back(Key(100));
@@ -241,8 +239,7 @@ TEST_F(MultiGetTest, ParallelCloudFetches) {
     ASSERT_TRUE(db_->Put(wo, Key(i), value).ok());
   }
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  db_->WaitForCompaction();
-  db_->storage()->WaitForPendingUploads();
+  db_->WaitForCompaction();  // Also drains the uploads.
 
   std::vector<std::string> key_storage;
   for (uint64_t i = 0; i < 600; i += 19) key_storage.push_back(Key(i));
@@ -270,8 +267,7 @@ TEST_F(MultiGetTest, ReadaheadHintCoalescesRangeGets) {
     ASSERT_TRUE(db_->Put(wo, Key(i), Value(i, 0)).ok());
   }
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  db_->WaitForCompaction();
-  db_->storage()->WaitForPendingUploads();
+  db_->WaitForCompaction();  // Also drains the uploads.
 
   std::vector<std::string> key_storage;
   for (uint64_t i = 0; i < 200; i += 11) key_storage.push_back(Key(i));

@@ -14,7 +14,7 @@
 #include "env/env.h"
 #include "lsm/db_impl.h"
 #include "mash/ewal.h"
-#include "mash/rocksmash_db.h"
+#include "mash/placement.h"
 #include "util/clock.h"
 #include "workload/ycsb.h"
 
@@ -137,15 +137,15 @@ TEST(CloudGc, ObsoleteCloudTablesAreDeleted) {
   model.delete_micros = 1;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions opt;
+  SchemeOptions opt;  // kind = kRocksMash
   opt.local_dir = dir;
   opt.cloud = cloud.get();
   opt.cloud_level_start = 1;
   opt.write_buffer_size = 64 * 1024;
   opt.max_file_size = 64 * 1024;
 
-  std::unique_ptr<RocksMashDB> db;
-  ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(opt, &db).ok());
 
   // Three generations of full overwrites.
   for (int gen = 0; gen < 3; gen++) {
@@ -158,7 +158,7 @@ TEST(CloudGc, ObsoleteCloudTablesAreDeleted) {
     ASSERT_TRUE(db->FlushMemTable().ok());
     db->WaitForCompaction();
   }
-  ASSERT_TRUE(db->CompactRange(nullptr, nullptr).ok());
+  ASSERT_TRUE(db->db()->CompactRange(nullptr, nullptr).ok());
 
   auto stats = db->Stats();
   const uint64_t live = stats.storage.cloud_bytes;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/kvstore.h"
 #include "env/env.h"
 #include "lsm/shared_resources.h"
 #include "util/metrics.h"
@@ -534,6 +535,41 @@ TEST(ShardedDBTest, ShardMarkerRejectsMismatchedReopen) {
   ASSERT_TRUE(db->Get(ReadOptions(), "k", &value).ok());
   EXPECT_EQ("v", value);
   db.reset();
+
+  // An unsharded store has no marker; sharding it would hide its data in
+  // empty shard directories, so it is refused and the data still opens
+  // unsharded afterwards. Both open paths share the check.
+  const std::string plain = TestDir("marker_plain");
+  std::filesystem::remove_all(plain);
+  ASSERT_TRUE(DB::Open(base, plain, &db).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
+  db.reset();
+  s = ShardedDB::Open(base, plain, 4, &db);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(nullptr, db.get());
+  ASSERT_TRUE(ShardedDB::Open(base, plain, 1, &db).ok());
+  ASSERT_TRUE(db->Get(ReadOptions(), "k", &value).ok());
+  EXPECT_EQ("v", value);
+  db.reset();
+  std::filesystem::remove_all(plain);
+
+  SchemeOptions so;
+  so.kind = SchemeKind::kLocalOnly;
+  so.local_dir = plain;
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(so, &store).ok());
+  ASSERT_TRUE(store->Put(WriteOptions(), "k", "v").ok());
+  store.reset();
+  so.num_shards = 4;
+  s = OpenKVStore(so, &store);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(nullptr, store);
+  so.num_shards = 1;
+  ASSERT_TRUE(OpenKVStore(so, &store).ok());
+  ASSERT_TRUE(store->Get(ReadOptions(), "k", &value).ok());
+  EXPECT_EQ("v", value);
+  store.reset();
+  std::filesystem::remove_all(plain);
 
   // A fresh directory has no marker.
   const std::string fresh = TestDir("marker_fresh");

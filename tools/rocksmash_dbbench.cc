@@ -171,8 +171,7 @@ void PrintStats(KVStore* store, ObjectStore* cloud) {
     CostMeter meter;
     auto cost = meter.MonthlyCost(
         s.storage.cloud_bytes,
-        s.storage.local_bytes + s.persistent_cache.disk_bytes +
-            s.persistent_cache.metadata.bytes + s.file_cache_bytes,
+        s.LocalBytes(),
         c, 1.0);
     std::printf("monthly cost: %s\n", CostMeter::Format(cost).c_str());
   }
