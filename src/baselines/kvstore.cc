@@ -47,6 +47,24 @@ class CloudSstCacheStorage final : public TableStorage {
     // with a better message; the constructor has no error channel.
     env_->CreateDirRecursively(local_dir_).PermitUncheckedError();
     env_->CreateDirRecursively(CacheDir()).PermitUncheckedError();
+    // Restart path: every table lives in the bucket, so rediscover them
+    // there. The obsolete-file scan finds tables only through ListTables,
+    // so a table missing here would never be deleted.
+    std::vector<ObjectMeta> objects;
+    const std::string list_prefix =
+        cloud_prefix_.empty() ? std::string() : cloud_prefix_ + "/";
+    if (cloud_->List(list_prefix, &objects).ok()) {
+      for (const auto& meta : objects) {
+        uint64_t number;
+        FileType type;
+        const std::string base = meta.key.substr(meta.key.rfind('/') + 1);
+        if (ParseFileName(base, &number, &type) &&
+            type == FileType::kTableFile &&
+            meta.key == CloudTableKey(cloud_prefix_, number)) {
+          sizes_[number] = meta.size;
+        }
+      }
+    }
   }
 
   Status NewStagingFile(uint64_t number,

@@ -62,8 +62,9 @@ struct SchemeOptions {
   uint64_t local_cache_bytes = 64ull * 1024 * 1024;
 
   // Cloud range-GET readahead window for cloud-resident tables (kRocksMash
-  // and kCloudOnly). Point-read-heavy rigs shrink it toward the block size;
-  // scan-heavy rigs grow it.
+  // and kCloudOnly): what a table iterator fetches on a block miss, and the
+  // widest run of adjacent misses a MultiGet merges into one GET. Point Gets
+  // fetch exactly the block whatever this is.
   uint64_t cloud_readahead_bytes = 256 * 1024;
 
   // kRocksMash knobs.

@@ -57,62 +57,18 @@ class CloudBlockSource final : public BlockSource {
 
   Status ReadBlock(const BlockHandle& handle, BlockKind kind,
                    BlockContents* result) override {
-    // Heat tracking without the storage mutex: bump the shared counter and
-    // only run the (locking) promotion check every pin_check_every_-th
-    // access.
-    const uint64_t accesses =
-        heat_->fetch_add(1, std::memory_order_relaxed) + 1;
-    if (pin_check_every_ != 0 && accesses % pin_check_every_ == 0) {
-      storage_->MaybePromote(number_);
-    }
+    NoteAccesses(1);
+    Status s;
+    if (ServeLocal(handle, kind, result, &s)) return s;
     const size_t n = static_cast<size_t>(handle.size()) + kBlockTrailerSize;
     std::string raw;
-
-    const bool is_meta = kind != BlockKind::kData;
-    if (pcache_ != nullptr) {
-      if (is_meta) {
-        if (pcache_->ReadMetadata(pcache_number_, handle.offset(), n, &raw) &&
-            raw.size() == n) {
-          RecordTick(statistics_, PERSISTENT_CACHE_METADATA_HIT);
-          return VerifyAndStripTrailer(Slice(raw), handle, result);
-        }
-        RecordTick(statistics_, PERSISTENT_CACHE_METADATA_MISS);
-      }
-      if (!is_meta && pcache_->GetBlock(pcache_number_, handle.offset(), &raw) &&
-          raw.size() == n) {
-        return VerifyAndStripTrailer(Slice(raw), handle, result);
-      }
-    }
-
-    // Streaming prefetch segments (scan readahead): serves the block from a
-    // completed async fetch, or waits briefly for the in-flight one that
-    // covers it — the wait overlaps with the GET that was issued while the
-    // previous blocks were being consumed.
-    if (!is_meta && ServeFromPrefetch(handle.offset(), n, &raw)) {
-      RecordTick(statistics_, SCAN_READAHEAD_HITS);
-      RecordTick(statistics_, CLOUD_BLOCK_READS);
-      PerfCount(&PerfContext::scan_prefetch_hit_count);
-      if (pcache_ != nullptr) {
-        pcache_->PutBlock(pcache_number_, handle.offset(), Slice(raw));
-      }
-      return VerifyAndStripTrailer(Slice(raw), handle, result);
-    }
-
-    // Read-ahead buffer (sequential scans hit it for subsequent blocks).
-    if (!is_meta && ServeFromReadahead(handle.offset(), n, &raw)) {
-      RecordTick(statistics_, CLOUD_READAHEAD_HIT);
-      RecordTick(statistics_, CLOUD_BLOCK_READS);
-      PerfCount(&PerfContext::readahead_hit_count);
-      if (pcache_ != nullptr) {
-        pcache_->PutBlock(pcache_number_, handle.offset(), Slice(raw));
-      }
-      return VerifyAndStripTrailer(Slice(raw), handle, result);
-    }
-
-    Status s;
-    if (!is_meta && readahead_bytes_ > n) {
-      // Fetch one window: the per-request latency is paid once for many
-      // blocks. Do not read past the data region.
+    if (kind == BlockKind::kData && readahead_bytes_ > n) {
+      // Iterator (scan-intent) miss: table iterators and compaction inputs
+      // read blocks in order, so fetch one window and serve the following
+      // blocks from the buffer, paying the per-request latency once per
+      // window. Table point lookups never come here: they go through
+      // ReadBlocks and fetch exactly the block. Do not read past the data
+      // region.
       uint64_t want = readahead_bytes_;
       if (handle.offset() < metadata_offset_ &&
           handle.offset() + want > metadata_offset_) {
@@ -135,36 +91,30 @@ class CloudBlockSource final : public BlockSource {
         return Status::Corruption("short cloud read", key_);
       }
     }
-    if (!is_meta) RecordTick(statistics_, CLOUD_BLOCK_READS);
-    if (pcache_ != nullptr && !is_meta) {
-      pcache_->PutBlock(pcache_number_, handle.offset(), Slice(raw));
-    }
-    return VerifyAndStripTrailer(Slice(raw), handle, result);
+    return AdmitFetched(handle, kind, Slice(raw), result);
   }
 
-  // Batched entry point (MultiGet): serve persistent-cache/readahead hits
-  // inline, then coalesce the remaining misses into range GETs (adjacent
-  // blocks within one readahead window share a request) issued concurrently
-  // on the storage's shared fetch pool, at most `max_parallel` in flight.
+  // Batched entry point (MultiGet, and point Gets as one-key batches): serve
+  // local hits inline, then coalesce the remaining misses into range GETs
+  // (adjacent blocks within one readahead window share a request) issued
+  // concurrently on the storage's shared fetch pool, at most `max_parallel`
+  // in flight.
   void ReadBlocks(BlockFetchRequest* requests, size_t n,
                   const BlockBatchOptions& opts) override {
-    const uint64_t accesses =
-        heat_->fetch_add(n, std::memory_order_relaxed) + n;
-    if (pin_check_every_ != 0 && accesses / pin_check_every_ !=
-                                     (accesses - n) / pin_check_every_) {
-      storage_->MaybePromote(number_);
-    }
-
+    NoteAccesses(n);
     std::vector<size_t> misses;
     for (size_t i = 0; i < n; i++) {
-      if (!TryServeLocal(&requests[i])) misses.push_back(i);
+      BlockFetchRequest* r = &requests[i];
+      if (!ServeLocal(r->handle, r->kind, &r->contents, &r->status)) {
+        misses.push_back(i);
+      }
     }
     if (misses.empty()) return;
 
     // Coalesce adjacent misses: one range GET per run of blocks that fits a
     // readahead window, so nearby keys in a batch pay the per-request cloud
-    // latency once. Window 0 (readahead disabled, no hint) degenerates to
-    // one GET per block.
+    // latency once. A lone miss, or window 0 (readahead disabled, no hint),
+    // fetches exactly its block.
     std::sort(misses.begin(), misses.end(), [&](size_t a, size_t b) {
       return requests[a].handle.offset() < requests[b].handle.offset();
     });
@@ -210,17 +160,11 @@ class CloudBlockSource final : public BlockSource {
         const size_t want =
             static_cast<size_t>(r->handle.size()) + kBlockTrailerSize;
         Slice raw(buf.data() + (r->handle.offset() - g.offset), want);
-        if (r->kind == BlockKind::kData) {
-          RecordTick(statistics_, CLOUD_BLOCK_READS);
-          if (pcache_ != nullptr) {
-            pcache_->PutBlock(pcache_number_, r->handle.offset(), raw);
-          }
-        }
-        r->status = VerifyAndStripTrailer(raw, r->handle, &r->contents);
+        r->status = AdmitFetched(r->handle, r->kind, raw, &r->contents);
       }
       // A multi-block group is a readahead window in all but name: keep it,
-      // so later batches (and interleaved single Gets) hit it instead of
-      // re-fetching the same range.
+      // so later batches and iterators hit it instead of re-fetching the
+      // same range.
       if (s.ok() && readahead_bytes_ > 0 && g.members.size() > 1) {
         MutexLock l(&readahead_mu_);
         readahead_offset_ = g.offset;
@@ -380,47 +324,68 @@ class CloudBlockSource final : public BlockSource {
   }
 
  private:
-  // Serve one batched request from the metadata region, the persistent
-  // cache, or the readahead buffer; false if it needs a cloud fetch.
-  bool TryServeLocal(BlockFetchRequest* r) {
-    const size_t n = static_cast<size_t>(r->handle.size()) + kBlockTrailerSize;
+  // Heat tracking without the storage mutex: bump the shared counter and
+  // run the (locking) promotion check once per pin_check_every_ accesses.
+  void NoteAccesses(uint64_t n) {
+    const uint64_t accesses =
+        heat_->fetch_add(n, std::memory_order_relaxed) + n;
+    if (pin_check_every_ != 0 && accesses / pin_check_every_ !=
+                                     (accesses - n) / pin_check_every_) {
+      storage_->MaybePromote(number_);
+    }
+  }
+
+  // Serves one block without a cloud GET: metadata from the packed local
+  // region; data from the persistent cache, a streaming prefetch segment
+  // (waiting for the in-flight GET that covers it, which overlaps with the
+  // scan consuming earlier blocks) or the readahead buffer. Returns false,
+  // leaving *s alone, when the block needs a cloud fetch.
+  bool ServeLocal(const BlockHandle& handle, BlockKind kind,
+                  BlockContents* result, Status* s) {
+    const size_t n = static_cast<size_t>(handle.size()) + kBlockTrailerSize;
     std::string raw;
-    const bool is_meta = r->kind != BlockKind::kData;
-    if (pcache_ != nullptr) {
-      if (is_meta &&
-          pcache_->ReadMetadata(pcache_number_, r->handle.offset(), n, &raw) &&
-          raw.size() == n) {
-        RecordTick(statistics_, PERSISTENT_CACHE_METADATA_HIT);
-        r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
-        return true;
+    if (kind != BlockKind::kData) {
+      if (pcache_ == nullptr) return false;
+      if (!pcache_->ReadMetadata(pcache_number_, handle.offset(), n, &raw) ||
+          raw.size() != n) {
+        RecordTick(statistics_, PERSISTENT_CACHE_METADATA_MISS);
+        return false;
       }
-      if (!is_meta && pcache_->GetBlock(pcache_number_, r->handle.offset(), &raw) &&
-          raw.size() == n) {
-        r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
-        return true;
-      }
+      RecordTick(statistics_, PERSISTENT_CACHE_METADATA_HIT);
+      *s = VerifyAndStripTrailer(Slice(raw), handle, result);
+      return true;
     }
-    if (!is_meta && ServeFromPrefetch(r->handle.offset(), n, &raw)) {
+    if (pcache_ != nullptr &&
+        pcache_->GetBlock(pcache_number_, handle.offset(), &raw) &&
+        raw.size() == n) {
+      *s = VerifyAndStripTrailer(Slice(raw), handle, result);
+      return true;
+    }
+    if (ServeFromPrefetch(handle.offset(), n, &raw)) {
       RecordTick(statistics_, SCAN_READAHEAD_HITS);
-      RecordTick(statistics_, CLOUD_BLOCK_READS);
       PerfCount(&PerfContext::scan_prefetch_hit_count);
-      if (pcache_ != nullptr) {
-        pcache_->PutBlock(pcache_number_, r->handle.offset(), Slice(raw));
-      }
-      r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
-      return true;
-    }
-    if (!is_meta && ServeFromReadahead(r->handle.offset(), n, &raw)) {
+    } else if (ServeFromReadahead(handle.offset(), n, &raw)) {
       RecordTick(statistics_, CLOUD_READAHEAD_HIT);
-      RecordTick(statistics_, CLOUD_BLOCK_READS);
       PerfCount(&PerfContext::readahead_hit_count);
-      if (pcache_ != nullptr) {
-        pcache_->PutBlock(pcache_number_, r->handle.offset(), Slice(raw));
-      }
-      r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
-      return true;
+    } else {
+      return false;
     }
-    return false;
+    *s = AdmitFetched(handle, kind, Slice(raw), result);
+    return true;
+  }
+
+  // A block whose bytes came from the cloud (by a GET just now, or through
+  // a prefetch segment or the readahead buffer): data blocks are counted and
+  // admitted to the persistent cache; every block is verified.
+  Status AdmitFetched(const BlockHandle& handle, BlockKind kind,
+                      const Slice& raw, BlockContents* result) {
+    if (kind == BlockKind::kData) {
+      RecordTick(statistics_, CLOUD_BLOCK_READS);
+      if (pcache_ != nullptr) {
+        pcache_->PutBlock(pcache_number_, handle.offset(), raw);
+      }
+    }
+    return VerifyAndStripTrailer(raw, handle, result);
   }
 
   // All cloud range reads funnel through here for uniform accounting.
@@ -515,8 +480,9 @@ class CloudBlockSource final : public BlockSource {
   uint64_t pin_check_every_;
   Statistics* statistics_;
 
-  // Lock order: leaf. Per-source readahead window; held across the cloud
-  // GetRange that refills it, never while taking another lock.
+  // Lock order: leaf. Per-source readahead window; held only to copy a
+  // block out or to swap in a window already fetched, never across a cloud
+  // GET or while taking another lock.
   Mutex readahead_mu_;
   uint64_t readahead_offset_ GUARDED_BY(readahead_mu_) = 0;
   std::string readahead_buffer_ GUARDED_BY(readahead_mu_);

@@ -55,10 +55,11 @@ struct TieredStorageOptions {
   uint64_t pin_after_accesses = 64;
   uint64_t pin_budget_bytes = 64ull * 1024 * 1024;
 
-  // Cloud read-ahead: a data-block miss fetches up to this many bytes in
-  // one range GET and serves subsequent blocks from the buffer — scans pay
-  // the per-request latency once per readahead window instead of once per
-  // block. 0 disables.
+  // Cloud read-ahead: a table iterator's data-block miss fetches up to this
+  // many bytes in one range GET and serves subsequent blocks from the buffer
+  // — scans pay the per-request latency once per readahead window instead
+  // of once per block. Also bounds MultiGet miss coalescing. Point lookups
+  // (one-key ReadBlocks) fetch exactly the block. 0 disables.
   uint64_t cloud_readahead_bytes = 256 * 1024;
 
   // Transient cloud failures during uploads/migrations are retried this

@@ -465,33 +465,14 @@ void Table::PrefetchBlocks(const BlockHandle* handles, size_t n,
 Status Table::InternalGet(const Slice& key, void* arg,
                           void (*handle_result)(void*, const Slice&,
                                                 const Slice&)) {
-  Rep* r = rep_.get();
-  std::unique_ptr<Iterator> index_iter(
-      r->index_block->NewIterator(r->options.comparator));
-  index_iter->Seek(key);
-  if (index_iter->Valid()) {
-    Slice handle_value = index_iter->value();
-    BlockHandle handle;
-    Slice input = handle_value;
-    Status s = handle.DecodeFrom(&input);
-    if (!s.ok()) return s;
-
-    if (r->filter != nullptr &&
-        !r->filter->KeyMayMatch(handle.offset(), key)) {
-      // Filter rules the key out: not present.
-      RecordTick(r->options.statistics, BLOOM_FILTER_USEFUL);
-      PerfCount(&PerfContext::bloom_useful_count);
-      return Status::OK();
-    }
-
-    std::unique_ptr<Iterator> block_iter(NewBlockIterator(handle));
-    block_iter->Seek(key);
-    if (block_iter->Valid()) {
-      (*handle_result)(arg, block_iter->key(), block_iter->value());
-    }
-    return block_iter->status();
-  }
-  return index_iter->status();
+  // A point lookup is a batch of one: a cold block costs one exact-size
+  // fetch through BlockSource::ReadBlocks, not a scan's readahead window.
+  TableGetRequest req;
+  req.key = key;
+  req.arg = arg;
+  req.handle_result = handle_result;
+  MultiGet(&req, 1, BlockBatchOptions{});
+  return req.status;
 }
 
 void Table::MultiGet(TableGetRequest* reqs, size_t n,
@@ -535,17 +516,23 @@ void Table::MultiGet(TableGetRequest* reqs, size_t n,
       req->status = Status::OK();  // definitively absent from this table
       continue;
     }
-    auto [it, inserted] =
-        group_of_offset.try_emplace(handle.offset(), groups.size());
-    if (inserted) {
+    // A one-key batch (a point Get) has nothing to coalesce, so it skips
+    // the offset map and its allocations.
+    size_t gi = groups.size();
+    if (n > 1) {
+      auto [it, inserted] = group_of_offset.try_emplace(handle.offset(), gi);
+      if (!inserted) {
+        // A second key wants the same data block: one fetch serves both.
+        RecordTick(r->options.statistics, MULTIGET_COALESCED_BLOCKS);
+      }
+      gi = it->second;
+    }
+    if (gi == groups.size()) {
       BlockGroup g;
       g.handle = handle;
       groups.push_back(std::move(g));
-    } else {
-      // A second key wants the same data block: one fetch serves both.
-      RecordTick(r->options.statistics, MULTIGET_COALESCED_BLOCKS);
     }
-    groups[it->second].members.push_back(i);
+    groups[gi].members.push_back(i);
   }
 
   // Pass 2: resolve every group against the RAM block cache; collect misses

@@ -57,7 +57,8 @@ class Table {
       const TableIterOptions& iopts = {}) const;
 
   // Calls handle_result(arg, key, value) for the entry at or after `key`, if
-  // the filter does not rule the key out. Used for point lookups.
+  // the filter does not rule the key out. Used for point lookups; it is a
+  // one-key MultiGet, so a block miss reads exactly that block.
   Status InternalGet(const Slice& key, void* arg,
                      void (*handle_result)(void* arg, const Slice& k,
                                            const Slice& v));

@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <map>
+#include <set>
+#include <sstream>
 #include <tuple>
 
 #include "env/env.h"
@@ -177,21 +179,26 @@ TEST_P(ShardedSchemeTest, ModelSurvivesCompactionAndReopen) {
   ASSERT_TRUE(store->db()->CompactRange(nullptr, nullptr).ok());
   store->WaitForCompaction();
 
-  // Every shard holds data, so summed counts reach at least the shard count.
-  const KVStoreStats stats = store->Stats();
-  const uint64_t shards = static_cast<uint64_t>(num_shards());
-  if (kind() == SchemeKind::kLocalOnly) {
-    EXPECT_GE(stats.storage.local_files, shards);
-    EXPECT_EQ(0u, stats.storage.cloud_files);
-  } else {
-    EXPECT_GE(stats.storage.cloud_files, shards);
-  }
+  // Every shard holds data, so summed counts reach at least the shard count,
+  // both before and after the reopen (tables are rediscovered on open).
+  auto check_tiers = [&](const char* when) {
+    const KVStoreStats stats = store->Stats();
+    const uint64_t shards = static_cast<uint64_t>(num_shards());
+    if (kind() == SchemeKind::kLocalOnly) {
+      EXPECT_GE(stats.storage.local_files, shards) << when;
+      EXPECT_EQ(0u, stats.storage.cloud_files) << when;
+    } else {
+      EXPECT_GE(stats.storage.cloud_files, shards) << when;
+    }
+  };
+  check_tiers("before reopen");
   if (kind() == SchemeKind::kRocksMash) {
-    EXPECT_GT(stats.persistent_cache.metadata.slabs, 0u);
+    EXPECT_GT(store->Stats().persistent_cache.metadata.slabs, 0u);
   }
   store.reset();
 
   ASSERT_TRUE(OpenKVStore(options, &store).ok());
+  check_tiers("after reopen");
   std::string value;
   for (int i = 0; i < 4000; i++) {
     char key[32];
@@ -280,6 +287,84 @@ TEST(CloudSstCacheTest, FileCacheHitsOnRepeatedOpen) {
   // Whole files were downloaded at least once; local cache holds bytes.
   EXPECT_GT(stats.storage.downloads, 0u);
   EXPECT_GT(stats.storage.local_bytes, 0u);
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Tables written before a reopen are known to the reopened store: once a
+// compaction after the reopen drops them from the live version, their
+// bucket objects are deleted like any other obsolete table.
+TEST(CloudSstCacheTest, ReopenedStoreDeletesObsoleteTables) {
+  std::string dir = ::testing::TempDir() + "/rocksmash_sstcache_reopen_gc";
+  std::filesystem::remove_all(dir);
+  SimClock clock;
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  model.get_first_byte_micros = 1;
+  model.put_first_byte_micros = 1;
+  model.delete_micros = 1;
+  auto cloud = NewMemObjectStore(&clock, model);
+
+  SchemeOptions options;
+  options.kind = SchemeKind::kCloudSstCache;
+  options.local_dir = dir;
+  options.cloud = cloud.get();
+  options.write_buffer_size = 32 * 1024;
+  options.max_file_size = 32 * 1024;
+  options.local_cache_bytes = 10 << 20;
+
+  auto load = [&](KVStore* store, const std::string& gen) {
+    for (int i = 0; i < 2000; i++) {
+      ASSERT_TRUE(store->Put(WriteOptions(), "key" + std::to_string(i),
+                             gen + std::string(100, 'v'))
+                      .ok());
+    }
+    ASSERT_TRUE(store->FlushMemTable().ok());
+    store->WaitForCompaction();
+  };
+
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(options, &store).ok());
+  load(store.get(), "gen0");
+  const uint64_t tables_before = store->Stats().storage.cloud_files;
+  ASSERT_GT(tables_before, 0u);
+  store.reset();
+
+  ASSERT_TRUE(OpenKVStore(options, &store).ok());
+  EXPECT_EQ(tables_before, store->Stats().storage.cloud_files);
+  // Overwrite every key and compact everything: no pre-reopen table stays
+  // live.
+  load(store.get(), "gen1");
+  ASSERT_TRUE(store->db()->CompactRange(nullptr, nullptr).ok());
+  store->WaitForCompaction();
+
+  std::string sstables;
+  ASSERT_TRUE(store->db()->GetProperty("rocksmash.sstables", &sstables));
+  std::set<uint64_t> live;
+  std::istringstream lines(sstables);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.size() > 1 && line[0] == ' ') {
+      live.insert(std::stoull(line.substr(1, line.find(':') - 1)));
+    }
+  }
+  ASSERT_FALSE(live.empty());
+
+  std::vector<ObjectMeta> objects;
+  ASSERT_TRUE(cloud->List("tables/", &objects).ok());
+  for (const ObjectMeta& meta : objects) {
+    const uint64_t number =
+        std::stoull(meta.key.substr(meta.key.rfind('/') + 1));
+    EXPECT_EQ(1u, live.count(number)) << meta.key << " is not live";
+  }
+  EXPECT_EQ(live.size(), objects.size());
+  EXPECT_EQ(live.size(), store->Stats().storage.cloud_files);
+
+  std::string value;
+  for (int i = 0; i < 2000; i += 97) {
+    ASSERT_TRUE(
+        store->Get(ReadOptions(), "key" + std::to_string(i), &value).ok());
+    EXPECT_EQ("gen1" + std::string(100, 'v'), value);
+  }
   store.reset();
   std::filesystem::remove_all(dir);
 }

@@ -530,6 +530,134 @@ TEST(ConcurrencyStressTest, ScansRaceFlushCompactionAndPrefetch) {
   std::filesystem::remove_all(dir);
 }
 
+// ---------- DB: point Gets racing scans on shared cold cloud tables ----------
+
+// Point Gets (one-key batches through CloudBlockSource::ReadBlocks), MultiGet
+// batches and streaming forward scans (ReadBlock's readahead window plus
+// async Prefetch segments) share one CloudBlockSource per table, with a RAM
+// block cache and persistent cache small enough that every path keeps
+// reaching the cloud and the shared readahead buffer. The tree is fixed, so
+// the model is exact: every loaded key reads back its canonical value, keys
+// past the loaded range are NotFound, and a scan from key i visits i, i+1,
+// ... with no gap.
+TEST(ConcurrencyStressTest, PointGetsRaceScansOnColdCloudTables) {
+  const std::string dir = TestDir("getscan");
+  std::filesystem::remove_all(dir);
+
+  SimClock clock;
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  auto cloud = NewMemObjectStore(&clock, model);
+
+  SchemeOptions options;  // kind = kRocksMash
+  options.local_dir = dir + "/db";
+  options.cloud = cloud.get();
+  options.cloud_level_start = 0;
+  options.cloud_readahead_bytes = 16 * 1024;
+  options.write_buffer_size = 16 * 1024;
+  options.max_file_size = 16 * 1024;
+  options.block_size = 1024;
+  options.block_cache_bytes = 16 * 1024;
+  options.local_cache_bytes = 16 * 1024;
+
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(options, &db).ok());
+  constexpr uint64_t kKeys = 1500;
+  WriteOptions wo;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(db->Put(wo, KeyOf(i), ValueOf(i)).ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  ASSERT_TRUE(db->db()->CompactRange(nullptr, nullptr).ok());
+  db->WaitForCompaction();
+  const uint64_t gets_before = cloud->Counters().gets;
+
+  constexpr int kGetters = 2;
+  constexpr int kScanners = 2;
+  // Scanners run until the Get threads and the MultiGet thread finish.
+  std::atomic<int> getters_running{kGetters + 1};
+  std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kGetters + kScanners + 1);
+  for (int g = 0; g < kGetters; g++) {
+    threads.emplace_back([&, g] {
+      Random64 rng(700 + static_cast<uint64_t>(g));
+      std::string value;
+      for (int i = 0; i < 3000; i++) {
+        // One in eight probes a key past the loaded range.
+        const uint64_t k = rng.Uniform(kKeys + kKeys / 7);
+        Status s = db->Get(ReadOptions(), KeyOf(k), &value);
+        if (k >= kKeys) {
+          if (!s.IsNotFound()) mismatches.fetch_add(1);
+        } else if (!s.ok()) {
+          errors.fetch_add(1);
+        } else if (value != ValueOf(k)) {
+          mismatches.fetch_add(1);
+        }
+      }
+      getters_running.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    Random64 rng(777);
+    std::vector<std::string> key_storage;
+    std::vector<Slice> keys;
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    for (int b = 0; b < 300; b++) {
+      key_storage.clear();
+      keys.clear();
+      for (int j = 0; j < 8; j++) {
+        key_storage.push_back(KeyOf(rng.Uniform(kKeys)));
+      }
+      for (const std::string& k : key_storage) keys.emplace_back(k);
+      db->MultiGet(ReadOptions(), keys, &values, &statuses);
+      for (size_t i = 0; i < keys.size(); i++) {
+        if (!statuses[i].ok()) {
+          errors.fetch_add(1);
+        } else if (values[i] !=
+                   ValueOf(std::stoull(key_storage[i].substr(4)))) {
+          mismatches.fetch_add(1);
+        }
+      }
+    }
+    getters_running.fetch_sub(1);
+  });
+  for (int r = 0; r < kScanners; r++) {
+    threads.emplace_back([&, r] {
+      Random64 rng(800 + static_cast<uint64_t>(r));
+      ReadOptions ro;
+      ro.scan_readahead_bytes = 64 * 1024;
+      while (getters_running.load() > 0) {
+        const uint64_t start = rng.Uniform(kKeys);
+        std::unique_ptr<Iterator> it = db->NewIterator(ro);
+        uint64_t expect = start;
+        for (it->Seek(KeyOf(start)); it->Valid() && expect < start + 300;
+             it->Next(), expect++) {
+          if (it->key().ToString() != KeyOf(expect) ||
+              it->value().ToString() != ValueOf(expect)) {
+            mismatches.fetch_add(1);
+            break;
+          }
+        }
+        if (!it->status().ok()) errors.fetch_add(1);
+        if (!it->Valid() && it->status().ok() && expect != kKeys) {
+          mismatches.fetch_add(1);  // ended early: a gap in the scan
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(0u, errors.load());
+  EXPECT_EQ(0u, mismatches.load());
+  // The reads were cold: they reached the cloud during the race.
+  EXPECT_GT(cloud->Counters().gets, gets_before);
+  db.reset();
+  std::filesystem::remove_all(dir);
+}
+
 // ---------- ShardedDB: writers + scans + MultiGet racing shard flushes ----------
 
 // Batched writers, merged cross-shard scans, and per-shard-grouped MultiGet

@@ -1,11 +1,13 @@
-// Tests for cloud scan read-ahead: sequential block reads of a cloud SST
-// must cost one range GET per window, not one per block.
+// Tests for cloud read sizing: sequential block reads of a cloud SST (scans)
+// must cost one range GET per window, not one per block, while a point
+// lookup fetches exactly the block it needs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "cloud/object_store.h"
 #include "env/env.h"
+#include "mash/persistent_cache.h"
 #include "mash/placement.h"
 #include "table/table.h"
 #include "table/table_builder.h"
@@ -99,6 +101,67 @@ TEST_F(ReadaheadTest, ScanCostsOneGetPerWindow) {
   EXPECT_LT(gets_with * 10, gets_without);
   EXPECT_LE(gets_with, 8u);
   EXPECT_GT(gets_without, 80u);
+}
+
+// A point lookup is scan-blind: its miss must not pay for a readahead
+// window. One cold Get fetches exactly block + trailer; the repeat is served
+// by the persistent cache; a scan of the same table still gets its windows.
+TEST_F(ReadaheadTest, PointGetFetchesExactlyOneBlock) {
+  PersistentCacheOptions pc;
+  pc.dir = dir_ + "/pcache";
+  pc.capacity_bytes = 4 << 20;
+  PersistentCache pcache(pc);
+  TieredStorageOptions opts;
+  opts.local_dir = dir_ + "/point";
+  opts.cloud = cloud_.get();
+  opts.cloud_level_start = 0;
+  opts.cloud_prefix = "point";
+  opts.cloud_readahead_bytes = 128 * 1024;
+  opts.persistent_cache = &pcache;
+  TieredTableStorage storage(opts);
+  BuildCloudTable(&storage, 4);
+
+  std::unique_ptr<BlockSource> source;
+  uint64_t got_size;
+  ASSERT_TRUE(storage.OpenTable(4, &source, &got_size).ok());
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Open(TableOptions(), std::move(source), size_, nullptr,
+                          1, &table)
+                  .ok());
+
+  const std::string key = "key00001500";
+  std::unique_ptr<Iterator> index(table->NewIndexIterator());
+  index->Seek(key);
+  ASSERT_TRUE(index->Valid());
+  BlockHandle handle;
+  Slice handle_input = index->value();
+  ASSERT_TRUE(handle.DecodeFrom(&handle_input).ok());
+
+  auto get = [&](std::string* found) {
+    const ObjectStore::OpCounters before = cloud_->Counters();
+    Status s = table->InternalGet(
+        key, found, [](void* arg, const Slice& k, const Slice& /*v*/) {
+          *static_cast<std::string*>(arg) = k.ToString();
+        });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    const ObjectStore::OpCounters after = cloud_->Counters();
+    return std::make_pair(after.gets - before.gets,
+                          after.bytes_downloaded - before.bytes_downloaded);
+  };
+
+  std::string found;
+  const auto cold = get(&found);
+  EXPECT_EQ(key, found);
+  EXPECT_EQ(1u, cold.first);
+  EXPECT_EQ(handle.size() + kBlockTrailerSize, cold.second);
+
+  found.clear();
+  const auto warm = get(&found);
+  EXPECT_EQ(key, found);
+  EXPECT_EQ(0u, warm.first);
+  EXPECT_EQ(0u, warm.second);
+
+  EXPECT_LE(ScanAndCountGets(&storage, 4), 8u);
 }
 
 TEST_F(ReadaheadTest, ReadaheadDataIsCorrect) {
