@@ -10,7 +10,7 @@
 // log. Sharding gives N independent WAL + memtable pipelines. To measure
 // that — and not the size of an unbounded group merge — the group byte cap
 // is set to one client batch (the same fixed-group-size methodology as
-// bench_write's pipelined-vs-serial mode). Writers are shard-affine the way
+// bench_write's thread-scaling mode). Writers are shard-affine the way
 // real sharded-store clients are: each thread partitions its random keys
 // with the router's own hash (ShardedDB::ShardOfKey) and carries full
 // batches to one shard, so the comparison holds total threads, keys, bytes,
@@ -258,8 +258,6 @@ int main(int argc, char** argv) {
   base.max_file_size = 4 << 20;
   base.max_bytes_for_level_base = 32 << 20;
   base.max_write_group_bytes = kWriteGroupCap;
-  base.enable_pipelined_write = true;
-  base.allow_concurrent_memtable_write = true;
 
   std::printf("E16 — sharded fillrandom + readrandom, %llu keys x %zu B, "
               "shards x threads grid\n\n",

@@ -5,12 +5,10 @@
 //   ./bench_write [--small|--large]
 //
 // Concurrent-writer mode: --threads=N switches to a multi-writer fillrandom
-// on the LocalOnly scheme and compares the pipelined/concurrent write
-// front-end against the classic serial path at 1..N writer threads. Rows for
-// both configurations land in the same BENCH_write.json.
+// on the LocalOnly scheme and sweeps the write path over 1, 2, 4, ... N
+// writer threads, one BENCH_write.json row per thread count.
 //
 //   ./bench_write --threads=8
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -40,14 +38,14 @@ constexpr int kWriteBatchKeys = 224;
 // Group cap for the concurrent-writer mode: 4 sub-batches of kWriteBatchKeys
 // small-value entries per group, so with 8 writer threads there are always
 // two groups in flight — one syncing its WAL record while the previous one
-// applies — and, just as important, the serial baseline commits groups of
-// the same size instead of amortizing its fsyncs over ever-larger merges.
+// applies — and every thread count commits groups of at most the same size
+// instead of amortizing its fsyncs over ever-larger merges.
 constexpr size_t kWriteGroupCap = 46 << 10;
 
 // Small values keep the workload apply-bound: memtable-insert cost is
-// per-key while WAL append cost is per-byte, and the WAL byte path prices
-// both write front-ends identically. This is the shape the pipeline is for;
-// value-heavy shapes are covered by the scheme sweep below.
+// per-key while WAL append cost is per-byte. This is the shape the
+// WAL/apply pipeline is for; value-heavy shapes are covered by the scheme
+// sweep below.
 constexpr size_t kWriteValueSize = 16;
 
 // Modeled WAL-device fsync latency (commodity SSD). The host filesystem's
@@ -56,10 +54,9 @@ constexpr size_t kWriteValueSize = 16;
 // same calibrated-latency methodology the cloud tier uses (SimObjectStore).
 constexpr uint64_t kWalSyncMicros = 1000;
 
-// Repetitions at the peak thread count; the reported figure is the best
-// run of each path. On a shared core interference only ever subtracts
-// throughput, so the max is the least-contaminated estimate — the usual
-// min-time methodology, applied to both write paths alike.
+// Repetitions per thread count; the reported figure is the best run. On a
+// shared core interference only ever subtracts throughput, so the max is
+// the least-contaminated estimate — the usual min-time methodology.
 constexpr int kPeakReps = 5;
 
 // num_keys random-key writes split across `threads` writers, issued as
@@ -78,9 +75,8 @@ MtResult ConcurrentFillRandom(KVStore* store, const Scale& scale,
     writers.emplace_back([store, &scale, &errors, per_thread, t] {
       Random64 rnd(static_cast<uint64_t>(1997) * (t + 1));
       const std::string value(scale.value_size, 'v');
-      // Sync WAL: group commit amortizes the fsync in both write paths, and
-      // the pipelined path additionally hides it behind the previous
-      // group's memtable apply.
+      // Sync WAL: group commit amortizes the fsync, and the pipeline hides
+      // it behind the previous group's memtable apply.
       WriteOptions wo;
       wo.sync = true;
       char key[40];
@@ -108,16 +104,16 @@ MtResult ConcurrentFillRandom(KVStore* store, const Scale& scale,
   return result;
 }
 
-// Pipelined-vs-serial scaling comparison; returns 0/1 for main().
+// Thread-scaling sweep of the write path; returns 0/1 for main().
 int RunThreadedMode(const std::string& workdir, Scale scale,
                     int max_threads) {
   JsonReport report("write");
 
   // At the default smoke scale the writers finish before a queue ever
-  // forms; a few tens of thousands of keys (still < 1 s per config) give
-  // the group-formation tickers something to measure. Full runs use enough
-  // keys that each config spends a few hundred milliseconds in steady
-  // state. Values are fixed at kWriteValueSize in this mode (see above).
+  // forms; a few tens of thousands of keys (still < 1 s per run) give the
+  // group-formation tickers something to measure. Full runs use enough
+  // keys that each run spends a few hundred milliseconds in steady state.
+  // Values are fixed at kWriteValueSize in this mode (see above).
   if (scale.smoke && scale.num_keys < 32000) scale.num_keys = 32000;
   if (!scale.smoke && scale.num_keys < 200000) scale.num_keys = 200000;
   scale.value_size = kWriteValueSize;
@@ -136,13 +132,12 @@ int RunThreadedMode(const std::string& workdir, Scale scale,
   thread_counts.push_back(max_threads);
 
   std::printf("E4 — concurrent fillrandom, %llu writes x %zu B values, "
-              "up to %d writer threads\n\n",
+              "1..%d writer threads, best of %d\n\n",
               (unsigned long long)scale.num_keys, scale.value_size,
-              max_threads);
-  std::printf("%-10s %8s %12s %8s\n", "writepath", "threads", "ops/sec",
-              "errors");
+              max_threads, kPeakReps);
+  std::printf("%8s %12s %8s\n", "threads", "ops/sec", "errors");
 
-  auto run_once = [&](bool pipelined, int threads) {
+  auto run_once = [&](int threads) {
     // Hermetic local tier with a modeled fsync (see kWalSyncMicros). The
     // env objects outlive the rig: the store closes first.
     std::unique_ptr<Env> mem_env = NewMemEnv();
@@ -151,8 +146,6 @@ int RunThreadedMode(const std::string& workdir, Scale scale,
     std::unique_ptr<Env> timed_env =
         NewTimedEnv(mem_env.get(), SystemClock::Default(), wal_device);
     SchemeOptions opts = base;
-    opts.enable_pipelined_write = pipelined;
-    opts.allow_concurrent_memtable_write = pipelined;
     opts.env = timed_env.get();
     Rig rig = OpenRig(workdir, SchemeKind::kLocalOnly, opts);
     MtResult r = ConcurrentFillRandom(rig.store.get(), scale, threads);
@@ -160,57 +153,28 @@ int RunThreadedMode(const std::string& workdir, Scale scale,
     rig.store->WaitForCompaction();
     return r;
   };
-  auto best = [](const std::vector<MtResult>& samples) {
-    return *std::max_element(samples.begin(), samples.end(),
-                             [](const MtResult& a, const MtResult& b) {
-                               return a.throughput_ops_sec <
-                                      b.throughput_ops_sec;
-                             });
-  };
-  auto emit = [&](bool pipelined, int threads, const MtResult& r) {
-    const char* path = pipelined ? "pipelined" : "serial";
-    std::printf("%-10s %8d %12.0f %8llu\n", path, threads,
-                r.throughput_ops_sec, (unsigned long long)r.errors);
-    std::fflush(stdout);
-    report.Row(std::string(path) + "/threads=" + std::to_string(threads));
-    report.Metric("threads", threads);
-    report.Metric("ops", static_cast<double>(r.operations));
-    report.Metric("ops_per_sec", r.throughput_ops_sec);
-    report.Metric("errors", static_cast<double>(r.errors));
-  };
 
-  // Scaling rows below the peak: one run per (path, threads).
-  for (bool pipelined : {false, true}) {
-    for (int threads : thread_counts) {
-      if (threads == max_threads) continue;
-      emit(pipelined, threads, run_once(pipelined, threads));
+  for (int threads : thread_counts) {
+    MtResult best;
+    for (int rep = 0; rep < kPeakReps; rep++) {
+      const MtResult r = run_once(threads);
+      if (rep == 0 || r.throughput_ops_sec > best.throughput_ops_sec) {
+        best = r;
+      }
     }
+    std::printf("%8d %12.0f %8llu\n", threads, best.throughput_ops_sec,
+                (unsigned long long)best.errors);
+    std::fflush(stdout);
+    report.Row("threads=" + std::to_string(threads));
+    report.Metric("threads", threads);
+    report.Metric("ops", static_cast<double>(best.operations));
+    report.Metric("ops_per_sec", best.throughput_ops_sec);
+    report.Metric("errors", static_cast<double>(best.errors));
   }
 
-  // The headline comparison at max_threads runs as interleaved
-  // serial/pipelined pairs so that load drift on a shared runner lands on
-  // both write paths alike, and reports the best rep of each (see
-  // kPeakReps).
-  std::vector<MtResult> serial_samples, pipelined_samples;
-  for (int rep = 0; rep < kPeakReps; rep++) {
-    serial_samples.push_back(run_once(false, max_threads));
-    pipelined_samples.push_back(run_once(true, max_threads));
-  }
-  const MtResult serial_best = best(serial_samples);
-  const MtResult pipelined_best = best(pipelined_samples);
-  emit(false, max_threads, serial_best);
-  emit(true, max_threads, pipelined_best);
-  const double serial_peak = serial_best.throughput_ops_sec;
-  const double pipelined_peak = pipelined_best.throughput_ops_sec;
-
-  if (serial_peak > 0) {
-    std::printf("\npipelined/serial aggregate throughput at %d threads: "
-                "%.2fx\n",
-                max_threads, pipelined_peak / serial_peak);
-  }
-  std::printf("Shape check: pipelined+concurrent throughput scales with "
-              "writer threads; the\nserial path plateaus at the "
-              "single-leader group-commit rate.\n");
+  std::printf("\nShape check: throughput scales with writer threads: group "
+              "commit amortizes\nthe fsync and the next group's WAL stage "
+              "overlaps the previous group's apply.\n");
   return 0;
 }
 

@@ -47,6 +47,23 @@ class CloudSstCacheStorage final : public TableStorage {
     // with a better message; the constructor has no error channel.
     env_->CreateDirRecursively(local_dir_).PermitUncheckedError();
     env_->CreateDirRecursively(CacheDir()).PermitUncheckedError();
+    // The file cache starts cold. Copies a previous run left in sstcache/
+    // are not indexed: they would count against neither the budget nor
+    // LocalBytes(), and one whose table is dropped before its next read
+    // would never be deleted. Remove them.
+    std::vector<std::string> stale;
+    if (env_->GetChildren(CacheDir(), &stale).ok()) {
+      for (const std::string& child : stale) {
+        uint64_t number;
+        FileType type;
+        if (ParseFileName(child, &number, &type) &&
+            type == FileType::kTableFile) {
+          // why unchecked: a copy that survives only wastes disk; it is
+          // overwritten if its table is read again.
+          env_->RemoveFile(CachePath(number)).PermitUncheckedError();
+        }
+      }
+    }
     // Restart path: every table lives in the bucket, so rediscover them
     // there. The obsolete-file scan finds tables only through ListTables,
     // so a table missing here would never be deleted.
@@ -113,6 +130,7 @@ class CloudSstCacheStorage final : public TableStorage {
         // why unchecked: the cache entry is unindexed; a leaked file only
         // wastes disk until the next restart.
         env_->RemoveFile(CachePath(number)).PermitUncheckedError();
+        if (ext_stats_) ext_stats_->bytes = cache_bytes_;
       }
     }
     return cloud_->Delete(CloudTableKey(cloud_prefix_, number));
@@ -215,8 +233,11 @@ class CloudSstCacheStorage final : public TableStorage {
   uint64_t budget_;
   std::shared_ptr<SstFileCacheStats> ext_stats_;
 
-  // Lock order: leaf. Guards only the size map; cloud/file I/O runs
-  // outside it.
+  // Lock order: after DBImpl::mutex_, before the object store's and Env's
+  // locks. Guards the table and cache maps, and is not a leaf:
+  // EnsureCached holds it across the whole-file cloud GET and the local
+  // copy's write, which serializes every table open of this store behind
+  // a miss.
   mutable Mutex mu_;
   std::map<uint64_t, uint64_t> sizes_
       GUARDED_BY(mu_);  // All live tables (cloud), number->size
@@ -280,9 +301,6 @@ Status OpenKVStore(const SchemeOptions& options,
   DBOptions base;
   base.env = env;
   base.shared_resources = options.shared_resources;
-  base.enable_pipelined_write = options.enable_pipelined_write;
-  base.allow_concurrent_memtable_write =
-      options.allow_concurrent_memtable_write;
   base.max_write_group_bytes = options.max_write_group_bytes;
   base.write_buffer_size = options.write_buffer_size;
   base.max_file_size = options.max_file_size;

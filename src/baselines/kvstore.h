@@ -98,10 +98,8 @@ struct SchemeOptions {
   // cache and background pools.
   std::shared_ptr<SharedResources> shared_resources;
 
-  // Two-stage write front-end, all schemes (see DBOptions and DESIGN.md
-  // "Write pipeline"). Disable both for the classic serial write path.
-  bool enable_pipelined_write = true;
-  bool allow_concurrent_memtable_write = true;
+  // Group-commit cap of the write path, all schemes (see DBOptions and
+  // DESIGN.md "Write pipeline").
   size_t max_write_group_bytes = 1 << 20;
 
   // Engine knobs shared by all schemes.

@@ -28,9 +28,9 @@
 namespace rocksmash {
 
 // Information kept for every waiting writer. All fields are read and
-// written under mutex_ except `batch`, which the writer itself (or, in the
-// serial-apply stage, the group leader) reads with the mutex released while
-// the writer protocol makes it the exclusive accessor.
+// written under mutex_ except `batch`, which the writer itself reads with
+// the mutex released (WAL append as leader, memtable apply) while the writer
+// protocol makes it the exclusive accessor.
 struct DBImpl::Writer {
   explicit Writer(Mutex* mu)
       : batch(nullptr), sync(false), done(false), cv(mu) {}
@@ -39,14 +39,14 @@ struct DBImpl::Writer {
   WriteBatch* batch;
   bool sync;
   bool done;
-  // Pipelined path: the leader sets this (and notifies) when the writer
-  // should CAS-insert its own sub-batch in the parallel apply stage.
+  // Set (and notified) when the writer should CAS-insert its own sub-batch
+  // in its group's apply stage.
   bool parallel_ready = false;
   WriteGroup* group = nullptr;
   CondVar cv;
 };
 
-// A write group moving through the pipelined path. Lives on the leader's
+// A write group moving through the write path. Lives on the leader's
 // stack: every member (including the leader) returns only after the group
 // is published, at which point nobody touches it again. Mutated under
 // mutex_ except `status` merges funneled through MemTableApplyDone.
@@ -224,11 +224,6 @@ static DBOptions SanitizeOptions(const DBOptions& src) {
   }
   if (result.max_file_size < 64 * 1024) result.max_file_size = 64 * 1024;
   if (result.block_size < 1024) result.block_size = 1024;
-  // Concurrent memtable apply is a stage of the pipelined write path; it
-  // has no meaning without it.
-  if (!result.enable_pipelined_write) {
-    result.allow_concurrent_memtable_write = false;
-  }
   if (result.max_write_group_bytes < 1) {
     result.max_write_group_bytes = DBOptions().max_write_group_bytes;
   }
@@ -2382,6 +2377,19 @@ Status DBImpl::Delete(const WriteOptions& options, const Slice& key) {
   return DB::Delete(options, key);
 }
 
+// The write path, in two stages. Stage 1 (WAL): the queue-front leader
+// makes room, builds the group, allocates its sequence range from
+// last_allocated_sequence_, and appends+syncs the single merged WAL record
+// while still holding queue leadership — so the WalManager keeps seeing one
+// appender at a time and the eWAL's shard round-robin stays single-writer.
+// Stage 2 (apply): the group moves to applying_groups_, the queue is handed
+// to the next leader (whose WAL stage now overlaps with this apply), and
+// every member CAS-inserts its own sub-batch into the memtable, concurrently
+// with the rest of its group and with other applying groups.
+// versions_->LastSequence() advances only in PublishCompletedGroups, in
+// group order, once every insert of the group has landed: reads and
+// snapshots never observe a partially applied group. A null batch is a
+// flush barrier: it always leads a group of its own (see BuildBatchGroup).
 Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   if (updates != nullptr) {
     // Tracing-off cost on the write hot path: this one relaxed load.
@@ -2391,156 +2399,13 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
                                options.sync);
     }
   }
-  if (options_.enable_pipelined_write) {
-    return PipelinedWrite(options, updates);
-  }
 
-  // Classic serial path: the leader appends the WAL and inserts the whole
-  // group into the memtable while every follower sleeps.
   Writer w(&mutex_);
   w.batch = updates;
   w.sync = options.sync;
   w.done = false;
 
-  // Null-batch calls are flush barriers, not user writes; don't time them.
-  Statistics* const stats = updates != nullptr ? options_.statistics : nullptr;
-  SystemClock* const clock = SystemClock::Default();
-  const bool timed =
-      updates != nullptr && (options_.statistics != nullptr ||
-                             GetPerfLevel() >= PerfLevel::kEnableTime ||
-                             trace::SpanHub::Instance()->armed());
-  const uint64_t enqueue_micros = timed ? clock->NowMicros() : 0;
-
-  MutexLock l(&mutex_);
-  writers_.push_back(&w);
-  while (!w.done && &w != writers_.front()) {
-    w.cv.Wait();
-  }
-  if (timed) {
-    const uint64_t waited = clock->NowMicros() - enqueue_micros;
-    RecordInHistogram(stats, WRITE_QUEUE_WAIT_US, waited);
-    if (GetPerfLevel() >= PerfLevel::kEnableTime) {
-      GetPerfContext()->write_queue_wait_time += waited;
-    }
-    trace::EmitSpan(trace::kSpanQueueWait, enqueue_micros, waited, 0, 0);
-  }
-  if (w.done) {
-    return w.status;
-  }
-
-  // Leader. write.latency.us measures actual write work from here on:
-  // the queue wait above is already recorded separately, and stalls inside
-  // MakeRoomForWrite are subtracted at the end.
-  const uint64_t work_start_micros = timed ? clock->NowMicros() : 0;
-  uint64_t stall_micros = 0;
-
-  // May temporarily unlock and wait.
-  Status status = MakeRoomForWrite(updates == nullptr, &stall_micros);
-  SequenceNumber last_sequence = versions_->LastSequence();
-  Writer* last_writer = &w;
-  if (status.ok() && updates != nullptr) {  // nullptr batch is for flushes
-    WriteBatch* write_batch = BuildBatchGroup(&last_writer);
-    WriteBatchInternal::SetSequence(write_batch, last_sequence + 1);
-    last_sequence += WriteBatchInternal::Count(write_batch);
-
-    // Add to log and apply to memtable. We can release the lock during this
-    // phase since &w is currently responsible for logging and protects
-    // against concurrent loggers and concurrent writes into mem_.
-    {
-      mutex_.Unlock();
-      const Slice contents = WriteBatchInternal::Contents(write_batch);
-      {
-        PerfScope wal_scope(&PerfContext::wal_write_time);
-        status = wal_->AddRecord(contents);
-      }
-      RecordTick(options_.statistics, WAL_WRITES);
-      RecordTick(options_.statistics, WAL_BYTES, contents.size());
-      bool sync_error = false;
-      if (status.ok() && options.sync) {
-        StopWatch sync_sw(options_.statistics, WAL_SYNC_LATENCY_US);
-        trace::SpanTimer sync_span(trace::kSpanWalSync);
-        sync_span.set_bytes(contents.size());
-        PerfScope sync_scope(&PerfContext::wal_sync_time);
-        status = wal_->Sync();
-        if (status.ok()) {
-          RecordTick(options_.statistics, WAL_SYNCS);
-        } else {
-          sync_error = true;
-        }
-      }
-      if (status.ok()) {
-        PerfScope mem_scope(&PerfContext::write_memtable_time);
-        status = WriteBatchInternal::InsertInto(write_batch, mem_);
-      }
-      if (status.ok()) {
-        RecordTick(options_.statistics, NUM_KEYS_WRITTEN,
-                   WriteBatchInternal::Count(write_batch));
-      }
-      mutex_.Lock();
-      if (sync_error) {
-        // The state of the log file is indeterminate: the log record we just
-        // added may or may not show up when the DB is re-opened. So we force
-        // the DB into a mode where all future writes fail.
-        bg_error_ = status;
-      }
-    }
-    if (write_batch == &tmp_batch_) tmp_batch_.Clear();
-
-    versions_->SetLastSequence(last_sequence);
-    last_allocated_sequence_ = last_sequence;
-  }
-
-  uint64_t group_size = 0;
-  while (true) {
-    Writer* ready = writers_.front();
-    writers_.pop_front();
-    group_size++;
-    if (ready != &w) {
-      ready->status = status;
-      ready->done = true;
-      ready->cv.NotifyOne();
-    }
-    if (ready == last_writer) break;
-  }
-  if (updates != nullptr) {
-    RecordTick(stats, WRITE_GROUPS);
-    RecordTick(stats, WRITE_GROUP_SIZE, group_size);
-    PerfCount(&PerfContext::write_groups_led);
-    PerfCount(&PerfContext::write_group_size, group_size);
-  }
-
-  // Notify new head of write queue.
-  if (!writers_.empty()) {
-    writers_.front()->cv.NotifyOne();
-  }
-
-  if (timed) {
-    const uint64_t total = clock->NowMicros() - work_start_micros;
-    RecordInHistogram(stats, WRITE_LATENCY_US,
-                      total > stall_micros ? total - stall_micros : 0);
-  }
-  return status;
-}
-
-// Two-stage write path. Stage 1 (WAL): the queue-front leader makes room,
-// builds the group, allocates its sequence range from
-// last_allocated_sequence_, and appends+syncs the single merged WAL record
-// while still holding queue leadership — so the WalManager keeps seeing one
-// appender at a time and the eWAL's shard round-robin stays single-writer.
-// Stage 2 (apply): the group moves to applying_groups_, the queue is handed
-// to the next leader (whose WAL stage now overlaps with this apply), and the
-// group's sub-batches are inserted into the memtable — by each member
-// concurrently (allow_concurrent_memtable_write) or by the leader serially.
-// versions_->LastSequence() advances only in PublishCompletedGroups, in
-// group order, once every insert of the group has landed: reads and
-// snapshots never observe a partially applied group.
-Status DBImpl::PipelinedWrite(const WriteOptions& options,
-                              WriteBatch* updates) {
-  Writer w(&mutex_);
-  w.batch = updates;
-  w.sync = options.sync;
-  w.done = false;
-
+  // Flush barriers are not user writes; don't time or count them.
   Statistics* const stats = updates != nullptr ? options_.statistics : nullptr;
   SystemClock* const clock = SystemClock::Default();
   const bool timed =
@@ -2554,7 +2419,7 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
   while (true) {
     if (w.done || w.parallel_ready) break;
     // Popped group members are no longer in writers_, so guard the front
-    // check (a serial-apply follower parks here until publication).
+    // check (a follower parks here until its apply stage starts).
     if (!writers_.empty() && &w == writers_.front()) break;
     w.cv.Wait();
   }
@@ -2571,8 +2436,8 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
   }
 
   if (w.parallel_ready) {
-    // Parallel memtable-apply stage: CAS-insert our own sub-batch
-    // concurrently with the rest of the group, then wait for publication.
+    // Follower's apply stage: CAS-insert our own sub-batch concurrently
+    // with the rest of the group, then wait for publication.
     WriteGroup* const group = w.group;
     MemTable* const mem = mem_;  // Stable while our group is applying.
     mutex_.Unlock();
@@ -2591,7 +2456,9 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
     return w.status;
   }
 
-  // WAL-stage leader.
+  // WAL-stage leader. write.latency.us measures actual write work from
+  // here on: the queue wait above is already recorded separately, and
+  // stalls inside MakeRoomForWrite are subtracted at the end.
   const uint64_t work_start_micros = timed ? clock->NowMicros() : 0;
   uint64_t stall_micros = 0;
   Status status = MakeRoomForWrite(updates == nullptr, &stall_micros);
@@ -2599,7 +2466,6 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
   WriteGroup group;
   group.members.push_back(&w);
   w.group = &group;
-  int batches = 0;
   if (status.ok() && updates != nullptr) {
     Writer* last_writer = &w;
     WriteBatch* wal_batch = BuildBatchGroup(&last_writer);
@@ -2617,11 +2483,8 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
         group.members.push_back(member);
         member->group = &group;
       }
-      if (member->batch != nullptr) {
-        WriteBatchInternal::SetSequence(member->batch, seq);
-        seq += WriteBatchInternal::Count(member->batch);
-        batches++;
-      }
+      WriteBatchInternal::SetSequence(member->batch, seq);
+      seq += WriteBatchInternal::Count(member->batch);
       if (member == last_writer) break;
     }
     assert(seq == group.last_sequence + 1);
@@ -2669,7 +2532,6 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
   if (status.ok() && updates != nullptr) {
     RecordTick(stats, WRITE_GROUPS);
     RecordTick(stats, WRITE_GROUP_SIZE, group.members.size());
-    RecordTick(stats, WRITE_PIPELINED_GROUPS);
     PerfCount(&PerfContext::write_groups_led);
     PerfCount(&PerfContext::write_group_size, group.members.size());
   }
@@ -2690,39 +2552,39 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
     // Nothing to apply (flush barrier, MakeRoom failure, or WAL failure):
     // the group completes as soon as FIFO order allows. Sequences allocated
     // by a failed WAL write are still published to keep the cursors
-    // consistent (classic-path behavior); after a sync failure bg_error_
-    // already fails every future write. A leader that skipped the WAL
-    // stage still owes the previous group its deferred wakeups.
+    // consistent; after a sync failure bg_error_ already fails every future
+    // write. A leader that skipped the WAL stage still owes the previous
+    // group its deferred wakeups.
     FanOutDeferredAppliers();
     group.applied = true;
     PublishCompletedGroups();
-  } else if (options_.allow_concurrent_memtable_write && batches > 1) {
-    // Fan out. The next leader (notified above) is racing toward its WAL
-    // sync, and CPU-hungry appliers starting now would contend with that
-    // WAL stage for the processor — delaying the very device wait the
-    // pipeline hides apply work behind. So when a next leader is queued,
-    // the apply-stage wakeups are handed to it (deferred_fanout_; consumed
-    // right before its sync or on its no-WAL paths).
-    group.pending_appliers = batches;
-    assert(deferred_fanout_ == nullptr);
-    if (!writers_.empty()) {
-      // Defer the whole apply stage — our own sub-batch included — to the
-      // next leader's fan-out, then park until it signals. The appliers'
-      // CPU lands inside the next group's device sync instead of ahead of
-      // its WAL stage.
-      deferred_fanout_ = &group;
-      while (!w.parallel_ready) {
-        w.cv.Wait();
-      }
-    } else {
-      // No WAL stage to protect: wake the followers right away.
-      for (size_t i = 1; i < group.members.size(); i++) {
-        Writer* member = group.members[i];
-        if (member->batch == nullptr) continue;
-        member->parallel_ready = true;
-        member->cv.NotifyOne();
+  } else {
+    const size_t batches = group.members.size();
+    group.pending_appliers = static_cast<int>(batches);
+    if (batches > 1) {
+      // Fan out. The next leader (notified above) is racing toward its WAL
+      // sync, and CPU-hungry appliers starting now would contend with that
+      // WAL stage for the processor — delaying the very device wait the
+      // pipeline hides apply work behind. So when a next leader is queued,
+      // the whole apply stage — our own sub-batch included — is handed to
+      // it (deferred_fanout_; consumed right before its sync or on its
+      // no-WAL paths) and we park until it signals.
+      assert(deferred_fanout_ == nullptr);
+      if (!writers_.empty()) {
+        deferred_fanout_ = &group;
+        while (!w.parallel_ready) {
+          w.cv.Wait();
+        }
+      } else {
+        // No WAL stage to protect: wake the followers right away.
+        for (size_t i = 1; i < batches; i++) {
+          group.members[i]->parallel_ready = true;
+          group.members[i]->cv.NotifyOne();
+        }
       }
     }
+    // A single-batch group is applied by its leader alone, still with CAS
+    // inserts: another group may be applying into mem_ right now.
     MemTable* const mem = mem_;
     mutex_.Unlock();
     Status apply_status;
@@ -2731,39 +2593,8 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
       apply_status =
           WriteBatchInternal::InsertInto(w.batch, mem, /*concurrent=*/true);
     }
-    RecordTick(stats, WRITE_CONCURRENT_APPLIES);
+    if (batches > 1) RecordTick(stats, WRITE_CONCURRENT_APPLIES);
     mutex_.Lock();
-    MemTableApplyDone(&group, apply_status);
-  } else {
-    // Leader applies the whole group. With concurrent writes enabled the
-    // inserts stay CAS-based (another group may be applying right now);
-    // otherwise groups take turns so plain Insert sees a single writer.
-    const bool concurrent_inserts = options_.allow_concurrent_memtable_write;
-    if (!concurrent_inserts) {
-      while (memtable_apply_active_) {
-        apply_done_signal_.Wait();
-      }
-      memtable_apply_active_ = true;
-    }
-    group.pending_appliers = 1;
-    MemTable* const mem = mem_;
-    mutex_.Unlock();
-    Status apply_status;
-    {
-      PerfScope mem_scope(&PerfContext::write_memtable_time);
-      for (Writer* member : group.members) {
-        if (member->batch == nullptr) continue;
-        apply_status =
-            WriteBatchInternal::InsertInto(member->batch, mem,
-                                           concurrent_inserts);
-        if (!apply_status.ok()) break;
-      }
-    }
-    mutex_.Lock();
-    if (!concurrent_inserts) {
-      memtable_apply_active_ = false;
-      apply_done_signal_.NotifyAll();
-    }
     MemTableApplyDone(&group, apply_status);
   }
 
@@ -2784,7 +2615,6 @@ void DBImpl::FanOutDeferredAppliers() {
   deferred_fanout_ = nullptr;
   // members[0] is the deferred group's leader, parked like its followers.
   for (Writer* member : group->members) {
-    if (member->batch == nullptr) continue;
     member->parallel_ready = true;
     member->cv.NotifyOne();
   }
@@ -2822,7 +2652,7 @@ void DBImpl::PublishCompletedGroups() {
     }
   }
   if (applying_groups_.empty()) {
-    // Wake memtable-switch drain waiters and serial-apply handoffs.
+    // Wake memtable-switch drain waiters.
     apply_done_signal_.NotifyAll();
   }
 }
@@ -2840,7 +2670,7 @@ WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer) {
   // Allow the group to grow up to a maximum size, but if the original write
   // is small, limit the growth so we do not slow down the small write too
   // much. A smaller cap also keeps more groups in flight, which is what the
-  // pipelined path overlaps (see Options::max_write_group_bytes).
+  // WAL/apply pipeline overlaps (see Options::max_write_group_bytes).
   size_t max_size = options_.max_write_group_bytes;
   const size_t small_slack = max_size / 8;
   if (size <= small_slack) {
@@ -2852,27 +2682,30 @@ WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer) {
   ++iter;  // Advance past "first"
   for (; iter != writers_.end(); ++iter) {
     Writer* w = *iter;
+    if (w->batch == nullptr) {
+      // A flush barrier wants to be alone: it must lead its own group so
+      // that MakeRoomForWrite(force=true) switches the memtable for it.
+      break;
+    }
     if (w->sync && !first->sync) {
       // Do not include a sync write into a batch handled by a non-sync write.
       break;
     }
 
-    if (w->batch != nullptr) {
-      size += WriteBatchInternal::ByteSize(w->batch);
-      if (size > max_size) {
-        // Do not make batch too big.
-        break;
-      }
-
-      // Append to *result.
-      if (result == first->batch) {
-        // Switch to temporary batch instead of disturbing caller's batch.
-        result = &tmp_batch_;
-        assert(WriteBatchInternal::Count(result) == 0);
-        WriteBatchInternal::Append(result, first->batch);
-      }
-      WriteBatchInternal::Append(result, w->batch);
+    size += WriteBatchInternal::ByteSize(w->batch);
+    if (size > max_size) {
+      // Do not make batch too big.
+      break;
     }
+
+    // Append to *result.
+    if (result == first->batch) {
+      // Switch to temporary batch instead of disturbing caller's batch.
+      result = &tmp_batch_;
+      assert(WriteBatchInternal::Count(result) == 0);
+      WriteBatchInternal::Append(result, first->batch);
+    }
+    WriteBatchInternal::Append(result, w->batch);
     *last_writer = w;
   }
   return result;
@@ -2937,7 +2770,7 @@ Status DBImpl::MakeRoomForWrite(bool force, uint64_t* stall_micros) {
       RecordTick(options_.statistics, STALL_L0_STOP_MICROS, waited);
       stall(waited);
     } else if (!applying_groups_.empty()) {
-      // Pipelined apply stage still in flight: appliers insert into mem_
+      // Apply stage still in flight: appliers insert into mem_
       // without the mutex, so drain them before switching memtables.
       const uint64_t start = clock->NowMicros();
       FanOutDeferredAppliers();  // The drained groups may need their wakeups.

@@ -126,10 +126,6 @@ class DBImpl final : public DB {
   Status BuildRecoveryTable(MemTable* mem, uint64_t number, FileMetaData* meta,
                             uint64_t* metadata_offset);
 
-  // Two-stage pipelined write path (Options::enable_pipelined_write); see
-  // DESIGN.md "Write pipeline". DBImpl::Write dispatches here or to the
-  // classic serial path.
-  Status PipelinedWrite(const WriteOptions& options, WriteBatch* updates);
   // Called by each finishing memtable applier of `group`; merges its status
   // and, when the last applier lands, marks the group applied and publishes.
   void MemTableApplyDone(WriteGroup* group, const Status& s)
@@ -208,10 +204,9 @@ class DBImpl final : public DB {
   std::atomic<bool> shutting_down_{false};
   CondVar background_work_finished_signal_;
   // mem_ is deliberately NOT GUARDED_BY(mutex_): the pointer itself only
-  // changes under mutex_, but writers insert into *mem_ with the mutex
-  // released — the group leader alone on the serial path, every group
-  // member concurrently on the parallel apply path (the skiplist's CAS
-  // insert makes that safe) — so the analysis cannot model it. A memtable
+  // changes under mutex_, but every group member inserts into *mem_
+  // concurrently with the mutex released (the skiplist's CAS insert makes
+  // that safe), so the analysis cannot model it. A memtable
   // switch waits out in-flight appliers first (MakeRoomForWrite drains
   // applying_groups_). See DESIGN.md.
   MemTable* mem_ = nullptr;
@@ -224,14 +219,11 @@ class DBImpl final : public DB {
   std::deque<Writer*> writers_ GUARDED_BY(mutex_);
   WriteBatch tmp_batch_ GUARDED_BY(mutex_);
 
-  // Pipelined write path. Groups that finished their WAL stage and are
+  // Groups that finished their WAL stage and are
   // applying to the memtable, oldest first: LastSequence publication is
   // strictly FIFO over this deque, and MakeRoomForWrite drains it before
   // switching memtables (appliers insert into mem_ without the mutex).
   std::deque<WriteGroup*> applying_groups_ GUARDED_BY(mutex_);
-  // Serializes group applies when allow_concurrent_memtable_write is off
-  // (the WAL stage of the next group still overlaps with the apply).
-  bool memtable_apply_active_ GUARDED_BY(mutex_) = false;
   // A group whose apply-stage start (its parked leader and followers) is
   // deferred to the next WAL leader, just before that leader's sync: the
   // appliers' CPU lands inside the next group's device wait instead of
@@ -243,8 +235,7 @@ class DBImpl final : public DB {
   // Sequence allocation cursor: sequences are handed out at WAL-stage time
   // but versions_->LastSequence() only advances at publication.
   uint64_t last_allocated_sequence_ GUARDED_BY(mutex_) = 0;
-  // Signaled when a group leaves the apply stage (drain + serial-apply
-  // handoff waiters).
+  // Signaled when the apply stage empties (memtable-switch drain waiters).
   CondVar apply_done_signal_;
 
   SnapshotList snapshots_ GUARDED_BY(mutex_);

@@ -46,8 +46,8 @@ class MemTable {
   // goes through a spinlock and the skiplist link is CAS-based, so any
   // number of writer threads may call this concurrently (with each other
   // and with readers). Must not be interleaved with plain Add on the same
-  // memtable; the DB uses one regime per memtable depending on
-  // Options::allow_concurrent_memtable_write.
+  // memtable: the write path always uses this one, plain Add only fills
+  // the private memtables of WAL recovery.
   void AddConcurrently(SequenceNumber seq, ValueType type, const Slice& key,
                        const Slice& value);
 

@@ -129,29 +129,13 @@ struct DBOptions {
   int max_background_flushes = 1;
   int max_background_compactions = 1;
 
-  // Two-stage write front-end (see DESIGN.md "Write pipeline"): a
-  // leader-elected WAL stage hands the queue to the next leader as soon as
-  // the group's single WAL append+sync is done, so the next group's WAL
-  // write overlaps with this group's memtable-apply stage. LastSequence is
-  // published only after a group's inserts complete (in group order), so
-  // reads and snapshots never observe a partially applied group. Off:
-  // classic LevelDB path — the leader appends the WAL and serially inserts
-  // the whole group while everyone else sleeps.
-  bool enable_pipelined_write = true;
-
-  // With pipelined writes on, fan the memtable-apply stage out to the
-  // waiting writers themselves: each group member CAS-inserts its own
-  // sub-batch concurrently (SkipList::InsertConcurrently). Off: one group
-  // applies at a time, serially, overlapped with the next group's WAL
-  // stage. Requires enable_pipelined_write (sanitized off otherwise).
-  bool allow_concurrent_memtable_write = true;
-
   // Upper bound on the bytes BuildBatchGroup merges into one WAL record
   // (RocksDB's max_write_batch_group_size_bytes). Leaders whose own batch is
   // under 1/8 of this stop at own-size + 1/8 so a small write is not delayed
   // behind a huge group. Smaller caps mean more, smaller groups — more
-  // frequent syncs, but also more WAL/apply overlap for the pipelined path
-  // to exploit. Values < 1 are sanitized to the default.
+  // frequent syncs, but also more overlap between one group's WAL stage and
+  // the previous group's memtable apply (DESIGN.md "Write pipeline"). Values
+  // < 1 are sanitized to the default.
   size_t max_write_group_bytes = 1 << 20;
 
   bool create_if_missing = true;

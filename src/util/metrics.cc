@@ -66,7 +66,6 @@ const char* const kTickerNames[TICKER_ENUM_MAX] = {
     "multiget.cloud.parallel.gets",
     "write.groups",
     "write.group.size",
-    "write.pipelined.groups",
     "write.concurrent.applies",
     "scan.runs.skipped",
     "scan.readahead.issued",

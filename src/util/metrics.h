@@ -109,8 +109,6 @@ enum Tickers : uint32_t {
   // yields the mean group size.
   WRITE_GROUPS,
   WRITE_GROUP_SIZE,
-  // Groups that went through the two-stage pipelined path.
-  WRITE_PIPELINED_GROUPS,
   // Sub-batches applied to the memtable by concurrent group members.
   WRITE_CONCURRENT_APPLIES,
 

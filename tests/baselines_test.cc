@@ -369,6 +369,99 @@ TEST(CloudSstCacheTest, ReopenedStoreDeletesObsoleteTables) {
   std::filesystem::remove_all(dir);
 }
 
+// The whole-file cache starts cold on reopen: copies the previous run
+// left in sstcache/ are removed, so the directory always holds exactly the
+// bytes the store reports, and never a copy of a table compaction dropped.
+TEST(CloudSstCacheTest, ReopenStartsWithAColdFileCache) {
+  std::string dir = ::testing::TempDir() + "/rocksmash_sstcache_reopen_cold";
+  std::filesystem::remove_all(dir);
+  SimClock clock;
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  model.get_first_byte_micros = 1;
+  model.put_first_byte_micros = 1;
+  model.delete_micros = 1;
+  auto cloud = NewMemObjectStore(&clock, model);
+
+  SchemeOptions options;
+  options.kind = SchemeKind::kCloudSstCache;
+  options.local_dir = dir;
+  options.cloud = cloud.get();
+  options.write_buffer_size = 32 * 1024;
+  options.max_file_size = 32 * 1024;
+  options.local_cache_bytes = 10 << 20;
+
+  auto load_and_read = [&](KVStore* store, const std::string& gen) {
+    for (int i = 0; i < 2000; i++) {
+      ASSERT_TRUE(store->Put(WriteOptions(), "key" + std::to_string(i),
+                             gen + std::string(100, 'v'))
+                      .ok());
+    }
+    ASSERT_TRUE(store->FlushMemTable().ok());
+    store->WaitForCompaction();
+    std::string value;
+    for (int i = 0; i < 2000; i += 97) {
+      ASSERT_TRUE(
+          store->Get(ReadOptions(), "key" + std::to_string(i), &value).ok());
+      EXPECT_EQ(gen + std::string(100, 'v'), value);
+    }
+  };
+  // Bytes and table numbers of the copies on disk.
+  auto cached_copies = [&](std::set<uint64_t>* numbers) {
+    uint64_t bytes = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir + "/sstcache")) {
+      bytes += entry.file_size();
+      numbers->insert(std::stoull(entry.path().stem().string()));
+    }
+    return bytes;
+  };
+
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(options, &store).ok());
+  load_and_read(store.get(), "gen0");
+  std::set<uint64_t> copies;
+  ASSERT_GT(cached_copies(&copies), 0u);
+  store.reset();
+
+  ASSERT_TRUE(OpenKVStore(options, &store).ok());
+  copies.clear();
+  EXPECT_EQ(store->Stats().file_cache_bytes, cached_copies(&copies));
+  EXPECT_TRUE(copies.empty());
+
+  // Overwrite every key and compact everything: no pre-reopen table stays
+  // live, then read the new tables into the cache.
+  load_and_read(store.get(), "gen1");
+  ASSERT_TRUE(store->db()->CompactRange(nullptr, nullptr).ok());
+  store->WaitForCompaction();
+  std::string value;
+  for (int i = 0; i < 2000; i += 97) {
+    ASSERT_TRUE(
+        store->Get(ReadOptions(), "key" + std::to_string(i), &value).ok());
+  }
+
+  std::string sstables;
+  ASSERT_TRUE(store->db()->GetProperty("rocksmash.sstables", &sstables));
+  std::set<uint64_t> live;
+  std::istringstream lines(sstables);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.size() > 1 && line[0] == ' ') {
+      live.insert(std::stoull(line.substr(1, line.find(':') - 1)));
+    }
+  }
+  copies.clear();
+  const uint64_t copy_bytes = cached_copies(&copies);
+  EXPECT_GT(copy_bytes, 0u);
+  EXPECT_EQ(store->Stats().file_cache_bytes, copy_bytes);
+  EXPECT_EQ(store->Stats().storage.local_bytes, copy_bytes);
+  for (uint64_t number : copies) {
+    EXPECT_EQ(1u, live.count(number)) << "cached copy of dropped table "
+                                      << number;
+  }
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CloudSstCacheTest, EvictionBoundsCacheBytes) {
   std::string dir = ::testing::TempDir() + "/rocksmash_sstcache_evict";
   std::filesystem::remove_all(dir);

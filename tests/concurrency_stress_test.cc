@@ -148,7 +148,7 @@ TEST(ConcurrencyStressTest, WritersReadersAndCompaction) {
   std::filesystem::remove_all(dbname);
 }
 
-// ---------- DB: pipelined write groups racing flush + compaction ----------
+// ---------- DB: write groups racing flush + compaction ----------
 
 // The parallel memtable-apply stage inserts into mem_ with the DB mutex
 // released; memtable switches (flush) and version installs (compaction)
@@ -156,14 +156,12 @@ TEST(ConcurrencyStressTest, WritersReadersAndCompaction) {
 // them. Small buffers force switches to land mid-stream while N batched
 // writers keep the pipeline full, and dedicated threads hammer
 // FlushMemTable/CompactRange on top of the organic background work.
-TEST(ConcurrencyStressTest, PipelinedWritersVersusFlushAndCompaction) {
+TEST(ConcurrencyStressTest, GroupCommitWritersVersusFlushAndCompaction) {
   const std::string dbname = TestDir("pipelined_writers");
   std::filesystem::remove_all(dbname);
 
   DBOptions options;
   options.create_if_missing = true;
-  options.enable_pipelined_write = true;
-  options.allow_concurrent_memtable_write = true;
   // Small enough that every writer sees several memtable switches.
   options.write_buffer_size = 32 * 1024;
   options.max_file_size = 64 * 1024;

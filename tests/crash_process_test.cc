@@ -140,8 +140,8 @@ TEST_P(ProcessCrash, SigkillLosesNoAckedWrites) {
   std::filesystem::remove_all(workdir);
 }
 
-// Same crash contract, but the child runs the pipelined write front-end
-// with four concurrent writers: groups form across threads, the WAL record
+// Same crash contract, but the child runs the write path with four
+// concurrent writers: groups form across threads, the WAL record
 // is one leader-built blob, and the apply stage runs in parallel. A
 // SIGKILL can land between a group's WAL sync and its memtable publish —
 // recovery (including the eWAL's parallel replay) must still surface every
@@ -168,8 +168,6 @@ TEST_P(ProcessCrash, SigkillWithConcurrentWritersLosesNoAckedWrites) {
     auto wal = MakeWal(segments, dbname);
     DBOptions options;
     options.wal_manager = wal.get();
-    options.enable_pipelined_write = true;
-    options.allow_concurrent_memtable_write = true;
     options.write_buffer_size = 64 << 20;  // Keep everything in the WAL.
     std::unique_ptr<DB> db;
     if (!DB::Open(options, dbname, &db).ok()) {
@@ -221,8 +219,6 @@ TEST_P(ProcessCrash, SigkillWithConcurrentWritersLosesNoAckedWrites) {
   auto wal = MakeWal(segments, dbname);
   DBOptions options;
   options.wal_manager = wal.get();
-  options.enable_pipelined_write = true;
-  options.allow_concurrent_memtable_write = true;
   options.write_buffer_size = 64 << 20;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());

@@ -1,7 +1,8 @@
-// Tests for the two-stage write pipeline (leader-elected WAL stage +
-// parallel memtable apply, src/lsm/db_impl.cc). The cases here pin the
+// Tests for the two-stage write path (leader-elected WAL stage + parallel
+// memtable apply, src/lsm/db_impl.cc). The cases here pin the
 // protocol-level guarantees: group formation under concurrent writers,
-// result equivalence between the concurrent and serial apply paths, error
+// every write landing under mixed sync/non-sync writers and flush
+// barriers, a flush barrier always leading its own group, error
 // propagation from a failed WAL sync, and all-or-nothing batch visibility
 // through snapshots while the parallel apply stage is racing.
 //
@@ -11,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,8 +59,6 @@ TEST(WriteThreadTest, GroupFormationAccounting) {
   auto stats = CreateDBStatistics();
   DBOptions options;
   options.create_if_missing = true;
-  options.enable_pipelined_write = true;
-  options.allow_concurrent_memtable_write = true;
   options.statistics = stats.get();
 
   std::unique_ptr<DB> db;
@@ -91,7 +93,6 @@ TEST(WriteThreadTest, GroupFormationAccounting) {
   // With 8 writers issuing sync writes concurrently, serializing every
   // write into its own group would mean grouping never happened at all.
   EXPECT_LT(groups, total_writes);
-  EXPECT_GT(stats->GetTickerCount(WRITE_PIPELINED_GROUPS), 0u);
 
   // Everything is readable afterwards.
   std::string value;
@@ -101,30 +102,36 @@ TEST(WriteThreadTest, GroupFormationAccounting) {
   }
 }
 
-// ---------- Concurrent vs serial equivalence ----------
+// ---------- Every write lands ----------
 
-// The same multi-writer workload lands the same logical state whether the
-// apply stage runs concurrently or serially. Values are a function of the
-// key alone, so the comparison is order-independent.
-TEST(WriteThreadTest, ConcurrentAndSerialApplyAgree) {
+// Multi-writer batched workloads land every key whatever groups the queue
+// forms. Values are a function of the key alone, so the check is
+// order-independent. The second input mixes sync and non-sync writers (a
+// sync write never joins a non-sync leader's group) and races a thread
+// looping FlushMemTable(), whose barriers must each lead a group of their
+// own: the group-size ticker counts exactly the Write() calls.
+TEST(WriteThreadTest, ConcurrentApplyLandsEveryWrite) {
   constexpr int kWriters = 6;
   constexpr uint64_t kKeysPerWriter = 400;
   constexpr int kBatchKeys = 16;
 
-  auto run_workload = [&](const std::string& dbname, bool concurrent) {
+  auto run_workload = [&](const std::string& dbname, bool mixed) {
     std::filesystem::remove_all(dbname);
+    auto stats = CreateDBStatistics();
     DBOptions options;
     options.create_if_missing = true;
-    options.enable_pipelined_write = concurrent;
-    options.allow_concurrent_memtable_write = concurrent;
+    options.statistics = stats.get();
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
 
     std::vector<std::thread> threads;
     std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> writes{0};
+    std::atomic<bool> stop{false};
     for (int w = 0; w < kWriters; w++) {
-      threads.emplace_back([&db, &errors, w] {
+      threads.emplace_back([&db, &errors, &writes, mixed, w] {
         WriteOptions wo;
+        wo.sync = mixed && w % 2 == 0;
         uint64_t i = 0;
         while (i < kKeysPerWriter) {
           WriteBatch batch;
@@ -132,11 +139,24 @@ TEST(WriteThreadTest, ConcurrentAndSerialApplyAgree) {
             batch.Put(KeyOf(w, i), ValueOf(w, i));
           }
           if (!db->Write(wo, &batch).ok()) errors.fetch_add(1);
+          writes.fetch_add(1);
+        }
+      });
+    }
+    std::thread flusher;
+    if (mixed) {
+      flusher = std::thread([&db, &errors, &stop] {
+        while (!stop.load(std::memory_order_acquire)) {
+          if (!db->FlushMemTable().ok()) errors.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       });
     }
     for (auto& t : threads) t.join();
+    stop.store(true, std::memory_order_release);
+    if (flusher.joinable()) flusher.join();
     ASSERT_EQ(0u, errors.load());
+    EXPECT_EQ(writes.load(), stats->GetTickerCount(WRITE_GROUP_SIZE));
 
     // Read back every key and count the total via a full scan.
     std::string value;
@@ -152,16 +172,16 @@ TEST(WriteThreadTest, ConcurrentAndSerialApplyAgree) {
     EXPECT_EQ(kWriters * kKeysPerWriter, scanned);
   };
 
-  run_workload(TestDir("eq_concurrent"), /*concurrent=*/true);
-  run_workload(TestDir("eq_serial"), /*concurrent=*/false);
+  run_workload(TestDir("apply_batched"), /*mixed=*/false);
+  run_workload(TestDir("apply_mixed_flushes"), /*mixed=*/true);
 }
 
 // ---------- WAL sync failure ----------
 
-// Delegating WAL whose Sync() starts failing on command.
-class FailingSyncWal : public WalManager {
+// Delegating WAL whose Sync() fails or blocks on command.
+class ControlledSyncWal : public WalManager {
  public:
-  explicit FailingSyncWal(std::unique_ptr<WalManager> base)
+  explicit ControlledSyncWal(std::unique_ptr<WalManager> base)
       : base_(std::move(base)) {}
 
   Status NewLog(uint64_t number) override { return base_->NewLog(number); }
@@ -169,6 +189,14 @@ class FailingSyncWal : public WalManager {
     return base_->AddRecord(record);
   }
   Status Sync() override {
+    {
+      std::unique_lock<std::mutex> l(gate_mu_);
+      if (hold_syncs_) {
+        held_syncs_++;
+        gate_cv_.notify_all();
+        gate_cv_.wait(l, [this] { return !hold_syncs_; });
+      }
+    }
     if (fail_syncs_.load(std::memory_order_acquire)) {
       return Status::IOError("injected sync failure");
     }
@@ -193,10 +221,102 @@ class FailingSyncWal : public WalManager {
     fail_syncs_.store(fail, std::memory_order_release);
   }
 
+  // Park every Sync() until ReleaseSyncs().
+  void HoldSyncs() {
+    std::lock_guard<std::mutex> l(gate_mu_);
+    hold_syncs_ = true;
+  }
+  void ReleaseSyncs() {
+    std::lock_guard<std::mutex> l(gate_mu_);
+    hold_syncs_ = false;
+    gate_cv_.notify_all();
+  }
+  // Returns once some Sync() is parked at the gate.
+  void WaitForHeldSync() {
+    std::unique_lock<std::mutex> l(gate_mu_);
+    gate_cv_.wait(l, [this] { return held_syncs_ > 0; });
+  }
+
  private:
   std::unique_ptr<WalManager> base_;
   std::atomic<bool> fail_syncs_{false};
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;
+  bool hold_syncs_ = false;
+  int held_syncs_ = 0;
 };
+
+// ---------- Flush barriers ----------
+
+// FlushMemTable() queues a null-batch writer (a flush barrier) that must
+// lead a group of its own, so its MakeRoomForWrite forces the memtable
+// switch. Here leader A is parked in its WAL sync while B (a synced Put)
+// and then C (FlushMemTable) queue behind it; when A's sync is released, B
+// leads the next group and must stop at C. Were C absorbed into B's group,
+// B would make room without a switch and C would return OK with nothing
+// flushed.
+TEST(WriteThreadTest, FlushBarrierLeadsItsOwnGroup) {
+  const std::string dbname = TestDir("flush_barrier");
+  std::filesystem::remove_all(dbname);
+
+  Env* env = Env::Default();
+  ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
+  auto wal =
+      std::make_unique<ControlledSyncWal>(NewClassicWalManager(env, dbname));
+  ControlledSyncWal* wal_ptr = wal.get();
+
+  auto stats = CreateDBStatistics();
+  DBOptions options;
+  options.create_if_missing = true;
+  options.wal_manager = wal_ptr;
+  options.statistics = stats.get();
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  // A flushed memtable may be placed below level 0, so count every level.
+  auto table_files = [&db] {
+    int total = 0;
+    std::string files;
+    for (int level = 0;
+         db->GetProperty("rocksmash.num-files-at-level" + std::to_string(level),
+                         &files);
+         level++) {
+      total += std::stoi(files);
+    }
+    return total;
+  };
+  const int files_before = table_files();
+
+  WriteOptions sync_wo;
+  sync_wo.sync = true;
+  wal_ptr->HoldSyncs();
+  std::thread a([&] { EXPECT_TRUE(db->Put(sync_wo, "key-a", "va").ok()); });
+  wal_ptr->WaitForHeldSync();  // A leads and is parked in its WAL sync.
+  std::thread b([&] { EXPECT_TRUE(db->Put(sync_wo, "key-b", "vb").ok()); });
+  // Let B queue behind A before C queues behind B. Should the scheduler
+  // ever run C first, C leads alone and the case degrades to a plain flush
+  // check; it cannot fail spuriously.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Status flush_status;
+  std::thread c([&] { flush_status = db->FlushMemTable(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  wal_ptr->ReleaseSyncs();
+  a.join();
+  b.join();
+  c.join();
+
+  ASSERT_TRUE(flush_status.ok()) << flush_status.ToString();
+  // C returned only after the memtable holding A and B was flushed.
+  EXPECT_EQ(files_before + 1, table_files());
+  // The barrier is not a user write: two writes, two one-writer groups.
+  EXPECT_EQ(2u, stats->GetTickerCount(WRITE_GROUP_SIZE));
+  EXPECT_EQ(2u, stats->GetTickerCount(WRITE_GROUPS));
+  std::string value;
+  ASSERT_TRUE(db->Get(ReadOptions(), "key-a", &value).ok());
+  EXPECT_EQ("va", value);
+  ASSERT_TRUE(db->Get(ReadOptions(), "key-b", &value).ok());
+  EXPECT_EQ("vb", value);
+}
 
 // A failed group sync must poison the DB (bg_error_): the failing write
 // reports the error and every later write is refused rather than risking
@@ -207,13 +327,12 @@ TEST(WriteThreadTest, SyncFailurePoisonsWrites) {
 
   Env* env = Env::Default();
   ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
-  auto wal = std::make_unique<FailingSyncWal>(NewClassicWalManager(env, dbname));
-  FailingSyncWal* wal_ptr = wal.get();
+  auto wal =
+      std::make_unique<ControlledSyncWal>(NewClassicWalManager(env, dbname));
+  ControlledSyncWal* wal_ptr = wal.get();
 
   DBOptions options;
   options.create_if_missing = true;
-  options.enable_pipelined_write = true;
-  options.allow_concurrent_memtable_write = true;
   options.wal_manager = wal_ptr;
 
   std::unique_ptr<DB> db;
@@ -255,8 +374,8 @@ TEST(WriteThreadTest, CloseSurfacesWalSyncFailure) {
   Env* env = Env::Default();
   ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
   auto wal =
-      std::make_unique<FailingSyncWal>(NewClassicWalManager(env, dbname));
-  FailingSyncWal* wal_ptr = wal.get();
+      std::make_unique<ControlledSyncWal>(NewClassicWalManager(env, dbname));
+  ControlledSyncWal* wal_ptr = wal.get();
 
   DBOptions options;
   options.create_if_missing = true;
@@ -310,8 +429,6 @@ TEST(WriteThreadTest, SnapshotsNeverSeePartialBatches) {
 
   DBOptions options;
   options.create_if_missing = true;
-  options.enable_pipelined_write = true;
-  options.allow_concurrent_memtable_write = true;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());

@@ -82,14 +82,13 @@ for b in $(MICRO_BENCHES); do
 done
 
 # Concurrent-writer mode (overwrites BENCH_write.json with the
-# pipelined-vs-serial rows; the single-thread sweep above already passed).
+# thread-scaling rows; the single-thread sweep above already passed).
 run_one bench_write --smoke --threads=4
 
-# The pipelined write front-end must actually engage under concurrent
-# writers: groups formed and sub-batches applied concurrently.
+# Group commit and the parallel apply stage must actually engage under
+# concurrent writers: groups formed and sub-batches applied concurrently.
 if [ -s BENCH_write.json ]; then
-  for ticker in write.group.size write.pipelined.groups \
-                write.concurrent.applies; do
+  for ticker in write.groups write.group.size write.concurrent.applies; do
     if ! grep -q "\"$ticker\": [1-9]" BENCH_write.json; then
       echo "FAIL  bench_write: ticker $ticker is zero or missing" >&2
       fail=1
