@@ -57,6 +57,7 @@ struct DBImpl::WriteGroup {
   Status status;                     // Shared by all members.
   int pending_appliers = 0;          // Memtable appliers still running.
   bool applied = false;  // All inserts done; awaiting FIFO publication.
+  bool wal_sync_failed = false;  // Fails every group published after it.
 };
 
 // Streams values into a rolling sequence of blob files (flush separation
@@ -334,7 +335,7 @@ Status DBImpl::Close() {
   // Make everything the WAL buffered durable before teardown: an error here
   // means acknowledged unsynced writes could vanish on a crash-free
   // shutdown, so it must reach the caller (previously it was dropped).
-  Status s = wal_->Sync();
+  Status s = wal_->Sync(WalPosition::End());
   Status close = wal_->CloseLog();
   if (s.ok()) {
     s = std::move(close);
@@ -2379,9 +2380,11 @@ Status DBImpl::Delete(const WriteOptions& options, const Slice& key) {
 
 // The write path, in two stages. Stage 1 (WAL): the queue-front leader
 // makes room, builds the group, allocates its sequence range from
-// last_allocated_sequence_, and appends+syncs the single merged WAL record
-// while still holding queue leadership — so the WalManager keeps seeing one
-// appender at a time and the eWAL's shard round-robin stays single-writer.
+// last_allocated_sequence_, and appends the single merged WAL record while
+// still holding queue leadership — so the WalManager keeps seeing one
+// appender at a time. It syncs before handing the queue on, unless the
+// WalManager's syncs can overlap (a multi-segment eWAL): then the group
+// syncs after the hand-off, beside the next groups' appends and syncs.
 // Stage 2 (apply): the group moves to applying_groups_, the queue is handed
 // to the next leader (whose WAL stage now overlaps with this apply), and
 // every member CAS-inserts its own sub-batch into the memtable, concurrently
@@ -2466,6 +2469,12 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   WriteGroup group;
   group.members.push_back(&w);
   w.group = &group;
+  WalPosition position;
+  size_t record_bytes = 0;
+  // With a WAL whose syncs can overlap, a synced group hands the queue on
+  // right after its append and syncs afterwards, so the next groups append
+  // and sync during its sync; otherwise the leader syncs before handing on.
+  bool sync_after_handoff = false;
   if (status.ok() && updates != nullptr) {
     Writer* last_writer = &w;
     WriteBatch* wal_batch = BuildBatchGroup(&last_writer);
@@ -2489,14 +2498,15 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     }
     assert(seq == group.last_sequence + 1);
 
-    // WAL stage with the mutex released. We still hold queue leadership, so
-    // the externally synchronized WalManager sees a single appender and
-    // tmp_batch_ stays ours until the hand-off below.
+    // WAL append with the mutex released. We still hold queue leadership,
+    // so the WalManager sees a single appender and tmp_batch_ stays ours
+    // until the hand-off below.
     mutex_.Unlock();
     const Slice contents = WriteBatchInternal::Contents(wal_batch);
+    record_bytes = contents.size();
     {
       PerfScope wal_scope(&PerfContext::wal_write_time);
-      status = wal_->AddRecord(contents);
+      status = wal_->AddRecord(contents, &position);
     }
     RecordTick(options_.statistics, WAL_WRITES);
     RecordTick(options_.statistics, WAL_BYTES, contents.size());
@@ -2505,36 +2515,16 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     // inside our device sync below instead of ahead of our WAL stage.
     mutex_.Lock();
     FanOutDeferredAppliers();
-    mutex_.Unlock();
-    bool sync_error = false;
     if (status.ok() && options.sync) {
-      StopWatch sync_sw(options_.statistics, WAL_SYNC_LATENCY_US);
-      trace::SpanTimer sync_span(trace::kSpanWalSync);
-      sync_span.set_bytes(contents.size());
-      PerfScope sync_scope(&PerfContext::wal_sync_time);
-      status = wal_->Sync();
-      if (status.ok()) {
-        RecordTick(options_.statistics, WAL_SYNCS);
-      } else {
-        sync_error = true;
+      sync_after_handoff = wal_->ConcurrentSyncs();
+      if (!sync_after_handoff) {
+        status = SyncWal(&group, position, record_bytes);
       }
     }
-    mutex_.Lock();
-    if (sync_error) {
-      // The state of the log file is indeterminate: the record may or may
-      // not survive a reopen, so force all future writes to fail.
-      bg_error_ = status;
-    }
+    // Before the hand-off: the next leader builds its group in tmp_batch_.
     if (wal_batch == &tmp_batch_) tmp_batch_.Clear();
   }
   group.status = status;
-
-  if (status.ok() && updates != nullptr) {
-    RecordTick(stats, WRITE_GROUPS);
-    RecordTick(stats, WRITE_GROUP_SIZE, group.members.size());
-    PerfCount(&PerfContext::write_groups_led);
-    PerfCount(&PerfContext::write_group_size, group.members.size());
-  }
 
   // Hand the queue to the next leader: our group enters the apply stage,
   // and the next group's WAL stage proceeds concurrently with it.
@@ -2548,13 +2538,35 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     writers_.front()->cv.NotifyOne();
   }
 
+  if (sync_after_handoff) {
+    // Our sync runs beside those of the groups before and after us. Acks
+    // stay a durable prefix: publication is FIFO, and a group published
+    // after a failed sync fails too (PublishCompletedGroups). A memtable
+    // switch drains applying_groups_ first, so no log is closed under us.
+    if (wal_syncs_in_flight_ > 0) {
+      RecordTick(options_.statistics, WAL_SYNC_OVERLAPPED);
+    }
+    wal_syncs_in_flight_++;
+    status = SyncWal(&group, position, record_bytes);
+    wal_syncs_in_flight_--;
+    group.status = status;
+  }
+
+  if (status.ok() && updates != nullptr) {
+    RecordTick(stats, WRITE_GROUPS);
+    RecordTick(stats, WRITE_GROUP_SIZE, group.members.size());
+    PerfCount(&PerfContext::write_groups_led);
+    PerfCount(&PerfContext::write_group_size, group.members.size());
+  }
+
   if (!status.ok() || updates == nullptr) {
     // Nothing to apply (flush barrier, MakeRoom failure, or WAL failure):
     // the group completes as soon as FIFO order allows. Sequences allocated
     // by a failed WAL write are still published to keep the cursors
     // consistent; after a sync failure bg_error_ already fails every future
-    // write. A leader that skipped the WAL stage still owes the previous
-    // group its deferred wakeups.
+    // write, and every group still in flight behind this one fails at its
+    // publication. A leader that skipped the WAL stage still owes the
+    // previous group its deferred wakeups.
     FanOutDeferredAppliers();
     group.applied = true;
     PublishCompletedGroups();
@@ -2567,16 +2579,19 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       // WAL stage for the processor — delaying the very device wait the
       // pipeline hides apply work behind. So when a next leader is queued,
       // the whole apply stage — our own sub-batch included — is handed to
-      // it (deferred_fanout_; consumed right before its sync or on its
-      // no-WAL paths) and we park until it signals.
-      assert(deferred_fanout_ == nullptr);
-      if (!writers_.empty()) {
+      // it (deferred_fanout_; consumed right after its append or on its
+      // no-WAL paths) and we park until it signals. A group that synced
+      // after the hand-off fans out at once: the queue front may already
+      // be past the point where it consumes a deferral.
+      if (!writers_.empty() && !sync_after_handoff) {
+        assert(deferred_fanout_ == nullptr);
         deferred_fanout_ = &group;
         while (!w.parallel_ready) {
           w.cv.Wait();
         }
       } else {
-        // No WAL stage to protect: wake the followers right away.
+        // No WAL stage to protect (or none we may wait for): wake the
+        // followers right away.
         for (size_t i = 1; i < batches; i++) {
           group.members[i]->parallel_ready = true;
           group.members[i]->cv.NotifyOne();
@@ -2609,6 +2624,28 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   return w.status;
 }
 
+Status DBImpl::SyncWal(WriteGroup* group, const WalPosition& position,
+                       size_t record_bytes) {
+  mutex_.Unlock();
+  Status s;
+  {
+    StopWatch sync_sw(options_.statistics, WAL_SYNC_LATENCY_US);
+    trace::SpanTimer sync_span(trace::kSpanWalSync);
+    sync_span.set_bytes(record_bytes);
+    PerfScope sync_scope(&PerfContext::wal_sync_time);
+    s = wal_->Sync(position);
+  }
+  if (s.ok()) RecordTick(options_.statistics, WAL_SYNCS);
+  mutex_.Lock();
+  if (!s.ok()) {
+    // The state of the log file is indeterminate: the record may or may
+    // not survive a reopen, so force all future writes to fail.
+    bg_error_ = s;
+    group->wal_sync_failed = true;
+  }
+  return s;
+}
+
 void DBImpl::FanOutDeferredAppliers() {
   WriteGroup* group = deferred_fanout_;
   if (group == nullptr) return;
@@ -2635,6 +2672,16 @@ void DBImpl::PublishCompletedGroups() {
   while (!applying_groups_.empty() && applying_groups_.front()->applied) {
     WriteGroup* group = applying_groups_.front();
     applying_groups_.pop_front();
+    // Fail closed: a group behind a failed WAL sync may have synced its own
+    // record, but acking it would ack past a record that may be lost.
+    if (group->wal_sync_failed && wal_sync_error_.ok()) {
+      wal_sync_error_ = group->status;
+      // why unchecked: a copy of the status the group's writers return; the
+      // stored one only fails later groups, which return copies of it.
+      wal_sync_error_.PermitUncheckedError();
+    } else if (group->status.ok() && !wal_sync_error_.ok()) {
+      group->status = wal_sync_error_;
+    }
     if (group->last_sequence != 0) {
       assert(group->last_sequence > versions_->LastSequence());
       versions_->SetLastSequence(group->last_sequence);

@@ -134,6 +134,11 @@ class DBImpl final : public DB {
   // group at the front of applying_groups_, in strict group order — the
   // sequence-visibility invariant of the pipeline.
   void PublishCompletedGroups() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // Syncs `group`'s WAL record at `position` with mutex_ released. A failure
+  // poisons the DB (bg_error_) and marks the group so that every group
+  // published after it fails too.
+  Status SyncWal(WriteGroup* group, const WalPosition& position,
+                 size_t record_bytes) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   // Wakes the appliers of deferred_fanout_ (if any); see the field.
   void FanOutDeferredAppliers() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
@@ -219,19 +224,27 @@ class DBImpl final : public DB {
   std::deque<Writer*> writers_ GUARDED_BY(mutex_);
   WriteBatch tmp_batch_ GUARDED_BY(mutex_);
 
-  // Groups that finished their WAL stage and are
-  // applying to the memtable, oldest first: LastSequence publication is
+  // Groups past their WAL append — syncing after the hand-off, or
+  // applying to the memtable — oldest first: LastSequence publication is
   // strictly FIFO over this deque, and MakeRoomForWrite drains it before
   // switching memtables (appliers insert into mem_ without the mutex).
   std::deque<WriteGroup*> applying_groups_ GUARDED_BY(mutex_);
   // A group whose apply-stage start (its parked leader and followers) is
-  // deferred to the next WAL leader, just before that leader's sync: the
+  // deferred to the next WAL leader, just after that leader's append: the
   // appliers' CPU lands inside the next group's device wait instead of
-  // racing its WAL stage for the processor. Set only when a next leader is
-  // already queued; consumed by the next leader before it syncs (or, on
-  // its non-WAL paths, before it publishes or waits in MakeRoomForWrite),
-  // which guarantees the wakeups happen.
+  // racing its WAL stage for the processor. Set only in the critical
+  // section of a group's hand-off (never by a group that syncs after it),
+  // when a next leader is already queued; consumed by that leader right
+  // after its append (or, on its non-WAL paths, before it publishes or
+  // waits in MakeRoomForWrite), which guarantees the wakeups happen.
   WriteGroup* deferred_fanout_ GUARDED_BY(mutex_) = nullptr;
+  // Groups syncing the WAL after their queue hand-off (a WalManager with
+  // ConcurrentSyncs()); a sync started while another is in flight ticks
+  // wal.sync.overlapped.
+  int wal_syncs_in_flight_ GUARDED_BY(mutex_) = 0;
+  // The first failed group WAL sync, recorded when its group is published:
+  // every group published after it fails with this status.
+  Status wal_sync_error_ GUARDED_BY(mutex_);
   // Sequence allocation cursor: sequences are handed out at WAL-stage time
   // but versions_->LastSequence() only advances at publication.
   uint64_t last_allocated_sequence_ GUARDED_BY(mutex_) = 0;

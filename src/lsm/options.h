@@ -173,9 +173,12 @@ struct ReadOptions {
   // A tiered BlockSource may use it to size its cloud readahead window for
   // this operation; 0 keeps the storage's configured default.
   uint64_t readahead_hint = 0;
-  // Upper bound on concurrent cloud GETs a single MultiGet batch may have
-  // in flight while filling coalesced block misses. 1 serializes (the
-  // pre-batching behavior); values < 1 are treated as 1.
+  // Upper bound on concurrent cloud GETs one table may have in flight while
+  // a MultiGet fills its coalesced block misses. The bound is per table
+  // call, not per batch: Version::MultiGet visits a level's tables one
+  // after another, so a batch whose keys fall in N cold tables pays about
+  // N serial GET rounds. 1 serializes the GETs within a table; values < 1
+  // are treated as 1.
   int max_cloud_fan_out = 8;
 
   // Range scans (DB::NewIterator).

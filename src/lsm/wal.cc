@@ -27,12 +27,13 @@ class ClassicWalManager final : public WalManager {
     return Status::OK();
   }
 
-  Status AddRecord(const Slice& record) override {
+  // One file: every sync covers every record, so positions are not kept.
+  Status AddRecord(const Slice& record, WalPosition* /*position*/) override {
     if (writer_ == nullptr) return Status::IOError("no open WAL");
     return writer_->AddRecord(record);
   }
 
-  Status Sync() override {
+  Status Sync(const WalPosition& /*position*/) override {
     if (file_ == nullptr) return Status::OK();
     return file_->Sync();
   }

@@ -3,17 +3,23 @@
 // eWAL (mash/ewal.h) stripes records over K segment files and replays them
 // in parallel.
 //
-// Durability semantics: after Sync() returns OK, every record added before
-// the Sync is durable. For the eWAL, records the writer never Sync()ed may
-// be recovered out of commit order across segments; this is safe because
-// every record carries its own sequence numbers and recovery applies them
-// with those original sequences (RocksDB kPointInTimeRecovery-like
-// semantics per segment).
+// Durability semantics: after Sync(position) returns OK, the record at
+// `position` and every record added before it are durable; a sync already
+// in flight that covers one of them is waited for, not repeated.
+// Sync(WalPosition::End()) makes every record added so far durable. For the
+// eWAL, records the writer never synced may be recovered out of commit
+// order across segments; this is safe because every record carries its own
+// sequence numbers and recovery applies them with those original
+// sequences (RocksDB kPointInTimeRecovery-like semantics per segment).
 //
-// Thread-safety: WalManager implementations are externally synchronized —
-// the DB's writer protocol guarantees a single thread appends/rotates at a
-// time (the front writer of the write group, with the DB mutex released),
-// so implementations hold no locks of their own.
+// Thread-safety: one appender at a time. The DB's writer protocol
+// guarantees that a single thread calls NewLog/AddRecord/CloseLog at a time
+// (the front writer of the write queue, with the DB mutex released), and
+// NewLog/CloseLog never run while a Sync is in flight. When
+// ConcurrentSyncs() is true, Sync(position) may additionally run on any
+// number of threads, concurrently with each other and with AddRecord; the
+// implementation synchronizes that itself. Otherwise Sync is externally
+// synchronized like the rest.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +35,18 @@ namespace rocksmash {
 
 class Env;
 
+// Where AddRecord put a record: the token Sync(position) makes durable.
+// `record` counts the records of the current log from 1; `segment` is the
+// file that holds it. A single-file log, whose every sync covers the whole
+// file, leaves the position at its default.
+struct WalPosition {
+  uint64_t record = 0;
+  int segment = 0;
+
+  // A position past every record: syncing through it syncs the whole log.
+  static WalPosition End() { return WalPosition{~uint64_t{0}, 0}; }
+};
+
 class WalManager {
  public:
   virtual ~WalManager() = default;
@@ -36,11 +54,19 @@ class WalManager {
   // Start writing log `number` (closes any previous log).
   virtual Status NewLog(uint64_t number) = 0;
 
-  // Append one record (a serialized WriteBatch) to the current log.
-  virtual Status AddRecord(const Slice& record) = 0;
+  // Append one record (a serialized WriteBatch) to the current log. On OK
+  // *position (when non-null) says where it went.
+  virtual Status AddRecord(const Slice& record, WalPosition* position) = 0;
 
-  // Make all records added so far durable.
-  virtual Status Sync() = 0;
+  // Make the record at `position` and every earlier record durable;
+  // WalPosition::End() covers every record added so far.
+  virtual Status Sync(const WalPosition& position) = 0;
+
+  // True when syncs of different records can proceed at the same time
+  // (the records sit in different files). The write path then hands the
+  // write queue on after a group's append instead of after its sync, so
+  // consecutive groups' syncs overlap.
+  virtual bool ConcurrentSyncs() const { return false; }
 
   virtual Status CloseLog() = 0;
 

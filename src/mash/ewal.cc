@@ -1,6 +1,7 @@
 #include "mash/ewal.h"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
@@ -20,59 +21,76 @@ namespace {
 class EWalManager final : public WalManager {
  public:
   EWalManager(Env* env, std::string dbname, EWalOptions options)
-      : env_(env), dbname_(std::move(dbname)), options_(options) {
-    if (options_.segments < 1) options_.segments = 1;
+      : env_(env),
+        dbname_(std::move(dbname)),
+        options_(options),
+        segments_(std::max(1, options.segments)) {
+    options_.segments = static_cast<int>(segments_.size());
   }
 
   Status NewLog(uint64_t number) override {
     Status s = CloseLog();
     if (!s.ok()) return s;
     current_log_ = number;
-    segments_.resize(options_.segments);
     for (int k = 0; k < options_.segments; k++) {
       Segment& seg = segments_[k];
+      MutexLock l(&seg.mu);
       s = env_->NewWritableFile(EWalFileName(dbname_, number, k), &seg.file);
       if (!s.ok()) return s;
       seg.writer = std::make_unique<log::Writer>(seg.file.get());
-      seg.dirty = false;
+      seg.first_unsynced.store(0, std::memory_order_relaxed);
+      seg.sync_error = Status::OK();
     }
+    records_ = 0;
     next_segment_ = 0;
+    open_ = true;
     return Status::OK();
   }
 
-  Status AddRecord(const Slice& record) override {
-    if (segments_.empty()) return Status::IOError("no open eWAL");
-    Segment& seg = segments_[next_segment_];
-    next_segment_ = (next_segment_ + 1) % options_.segments;
+  Status AddRecord(const Slice& record, WalPosition* position) override {
+    if (!open_) return Status::IOError("no open eWAL");
+    const int k = PickSegment();
+    Segment& seg = segments_[k];
+    MutexLock l(&seg.mu);
     Status s = seg.writer->AddRecord(record);
-    if (s.ok()) seg.dirty = true;
+    if (!s.ok()) return s;
+    const uint64_t number = ++records_;
+    if (seg.first_unsynced.load(std::memory_order_relaxed) == 0) {
+      seg.first_unsynced.store(number, std::memory_order_release);
+    }
+    if (position != nullptr) *position = WalPosition{number, k};
     return s;
   }
 
-  Status Sync() override {
-    // fsync epoch: every segment written since the last Sync becomes
-    // durable before the write is acked.
-    for (auto& seg : segments_) {
-      if (seg.dirty && seg.file != nullptr) {
-        Status s = seg.file->Sync();
-        if (!s.ok()) return s;
-        seg.dirty = false;
+  Status Sync(const WalPosition& position) override {
+    // The record's own segment first, so that a sync another caller has in
+    // flight on an earlier record's segment is waited out while ours runs.
+    // WalPosition::End() covers every record: an fsync epoch over all the
+    // segments written since their last sync.
+    Status s = SyncSegment(&segments_[position.segment], position.record);
+    for (int k = 0; k < options_.segments && s.ok(); k++) {
+      if (k != position.segment) {
+        s = SyncSegment(&segments_[k], position.record);
       }
     }
-    return Status::OK();
+    return s;
   }
 
+  bool ConcurrentSyncs() const override { return options_.segments > 1; }
+
   Status CloseLog() override {
+    open_ = false;
     Status result;
     for (auto& seg : segments_) {
+      MutexLock l(&seg.mu);
       seg.writer.reset();
       if (seg.file != nullptr) {
         Status s = seg.file->Close();
         if (result.ok()) result = s;
         seg.file.reset();
       }
+      seg.first_unsynced.store(0, std::memory_order_relaxed);
     }
-    segments_.clear();
     return result;
   }
 
@@ -209,10 +227,71 @@ class EWalManager final : public WalManager {
 
  private:
   struct Segment {
-    std::unique_ptr<WritableFile> file;
-    std::unique_ptr<log::Writer> writer;
-    bool dirty = false;
+    // Lock order: leaf — taken with no other lock held (DBImpl::mutex_ is
+    // released around WAL I/O), one segment at a time. Held across the
+    // segment's appends and its file sync, so a sync covers every record
+    // the segment held when it started.
+    Mutex mu;
+    std::unique_ptr<WritableFile> file GUARDED_BY(mu);
+    std::unique_ptr<log::Writer> writer GUARDED_BY(mu);
+    // Number of the oldest record in this segment not yet synced; 0 when
+    // the segment is durable. Written under mu; read without it, because
+    // records only leave the unsynced set (0) or later ones enter it.
+    std::atomic<uint64_t> first_unsynced{0};
+    // True while a sync holds mu: AddRecord steers appends elsewhere.
+    std::atomic<bool> syncing{false};
+    // The first failed sync of this segment's file. Sticky: once an fsync
+    // failed, a retry may report OK although the kernel dropped the dirty
+    // pages, so every later sync that needs this file fails with it.
+    Status sync_error GUARDED_BY(mu);
   };
+
+  // Round-robin over the segments, skipping any with a sync in flight (an
+  // append there would wait the sync out). All busy: the next in turn.
+  int PickSegment() {
+    int k = next_segment_;
+    for (int i = 0; i < options_.segments; i++) {
+      const int candidate = (next_segment_ + i) % options_.segments;
+      if (!segments_[candidate].syncing.load(std::memory_order_relaxed)) {
+        k = candidate;
+        break;
+      }
+    }
+    next_segment_ = (k + 1) % options_.segments;
+    return k;
+  }
+
+  // Makes every record of `seg` numbered <= `through` durable. A sync in
+  // flight on `seg` is waited out first; it may already have covered them.
+  // After a failed sync the segment's unsynced records stay unsynced, and
+  // every later call that needs them returns that failure without retrying.
+  Status SyncSegment(Segment* seg, uint64_t through) {
+    // Checked first without the mutex: a sync of later records may hold it.
+    if (!NeedsSync(*seg, through)) return Status::OK();
+    MutexLock l(&seg->mu);
+    if (seg->file == nullptr || !NeedsSync(*seg, through)) {
+      return Status::OK();
+    }
+    if (!seg->sync_error.ok()) return seg->sync_error;
+    seg->syncing.store(true, std::memory_order_relaxed);
+    Status s = seg->file->Sync();
+    seg->syncing.store(false, std::memory_order_relaxed);
+    if (s.ok()) {
+      seg->first_unsynced.store(0, std::memory_order_release);
+    } else {
+      seg->sync_error = s;
+      // why unchecked: a copy of the status returned below; the stored one
+      // only answers later syncs, which return copies of it.
+      seg->sync_error.PermitUncheckedError();
+    }
+    return s;
+  }
+
+  // Whether `seg` holds a record numbered <= `through` that is not synced.
+  static bool NeedsSync(const Segment& seg, uint64_t through) {
+    const uint64_t first = seg.first_unsynced.load(std::memory_order_acquire);
+    return first != 0 && first <= through;
+  }
 
   Status ReplaySegment(
       uint64_t number, int segment,
@@ -243,7 +322,11 @@ class EWalManager final : public WalManager {
   std::string dbname_;
   EWalOptions options_;
   uint64_t current_log_ = 0;
+  // Sized once at construction; each segment's file is per log.
   std::vector<Segment> segments_;
+  // Appender state (one appender at a time; see WalManager).
+  bool open_ = false;
+  uint64_t records_ = 0;  // Records appended to the current log.
   int next_segment_ = 0;
 };
 

@@ -294,12 +294,16 @@ void PersistentCache::EnforceDiskBoundLocked() {
     auto it = ssts_.find(victim);
     if (it == ssts_.end()) break;
     // Unlink the victim's blocks from the LRU and accounting.
+    uint64_t live_dropped = 0;
     for (auto& [off, loc] : it->second.blocks) {
       (void)off;
       lru_.erase(loc.lru_pos);
       stats_.data_bytes -= loc.len;
       stats_.evicted_bytes += loc.len;
+      live_dropped += loc.len;
     }
+    RecordTick(options_.statistics, PERSISTENT_CACHE_FORCED_DROP_BYTES,
+               live_dropped);
     DropExtentLocked(victim, &it->second);
     ssts_.erase(it);
   }

@@ -20,12 +20,14 @@ const char* const kTickerNames[TICKER_ENUM_MAX] = {
     "wal.writes",
     "wal.bytes",
     "wal.syncs",
+    "wal.sync.overlapped",
     "block.reads.local",
     "block.reads.cloud",
     "pcache.hit",
     "pcache.miss",
     "pcache.admit",
     "pcache.evicted.bytes",
+    "pcache.forced.drop.bytes",
     "pcache.invalidations",
     "pcache.gc.runs",
     "pcache.gc.bytes.rewritten",

@@ -37,6 +37,8 @@ enum Tickers : uint32_t {
   WAL_WRITES,
   WAL_BYTES,
   WAL_SYNCS,
+  // Group WAL syncs started while another group's sync was in flight.
+  WAL_SYNC_OVERLAPPED,
 
   // Block reads attributed to the tier that served them (tiered storage).
   LOCAL_BLOCK_READS,
@@ -47,6 +49,10 @@ enum Tickers : uint32_t {
   PERSISTENT_CACHE_MISS,
   PERSISTENT_CACHE_ADMIT,
   PERSISTENT_CACHE_EVICTED_BYTES,
+  // Live bytes of whole extents dropped to keep the disk footprint within
+  // its bound (part of PERSISTENT_CACHE_EVICTED_BYTES, chosen by extent
+  // age rather than block heat).
+  PERSISTENT_CACHE_FORCED_DROP_BYTES,
   PERSISTENT_CACHE_INVALIDATIONS,
   PERSISTENT_CACHE_GC_RUNS,
   PERSISTENT_CACHE_GC_BYTES_REWRITTEN,

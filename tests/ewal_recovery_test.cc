@@ -3,14 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <filesystem>
+#include <mutex>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "env/env.h"
 #include "lsm/db.h"
 #include "lsm/filename.h"
 #include "mash/ewal.h"
 #include "mash/recovery.h"
+#include "sync_counting_env.h"
 #include "util/mutexlock.h"
 
 namespace rocksmash {
@@ -32,9 +39,9 @@ class EWalTest : public ::testing::Test {
 TEST_F(EWalTest, StripesAcrossSegmentFiles) {
   ASSERT_TRUE(wal_->NewLog(1).ok());
   for (int i = 0; i < 8; i++) {
-    ASSERT_TRUE(wal_->AddRecord("record" + std::to_string(i)).ok());
+    ASSERT_TRUE(wal_->AddRecord("record" + std::to_string(i), nullptr).ok());
   }
-  ASSERT_TRUE(wal_->Sync().ok());
+  ASSERT_TRUE(wal_->Sync(WalPosition::End()).ok());
   ASSERT_TRUE(wal_->CloseLog().ok());
 
   // All four segment files must exist and be non-trivial.
@@ -49,9 +56,9 @@ TEST_F(EWalTest, ReplayReturnsAllRecordsWithShardIds) {
   for (int i = 0; i < 100; i++) {
     std::string r = "record" + std::to_string(i);
     written.insert(r);
-    ASSERT_TRUE(wal_->AddRecord(r).ok());
+    ASSERT_TRUE(wal_->AddRecord(r, nullptr).ok());
   }
-  ASSERT_TRUE(wal_->Sync().ok());
+  ASSERT_TRUE(wal_->Sync(WalPosition::End()).ok());
   ASSERT_TRUE(wal_->CloseLog().ok());
 
   rocksmash::Mutex mu;
@@ -72,9 +79,9 @@ TEST_F(EWalTest, ReplayReturnsAllRecordsWithShardIds) {
 
 TEST_F(EWalTest, ListLogsDeduplicatesSegments) {
   ASSERT_TRUE(wal_->NewLog(3).ok());
-  ASSERT_TRUE(wal_->AddRecord("a").ok());
+  ASSERT_TRUE(wal_->AddRecord("a", nullptr).ok());
   ASSERT_TRUE(wal_->NewLog(9).ok());
-  ASSERT_TRUE(wal_->AddRecord("b").ok());
+  ASSERT_TRUE(wal_->AddRecord("b", nullptr).ok());
   ASSERT_TRUE(wal_->CloseLog().ok());
 
   std::vector<uint64_t> logs;
@@ -86,7 +93,7 @@ TEST_F(EWalTest, ListLogsDeduplicatesSegments) {
 
 TEST_F(EWalTest, RemoveLogDeletesAllSegments) {
   ASSERT_TRUE(wal_->NewLog(4).ok());
-  ASSERT_TRUE(wal_->AddRecord("x").ok());
+  ASSERT_TRUE(wal_->AddRecord("x", nullptr).ok());
   ASSERT_TRUE(wal_->CloseLog().ok());
   ASSERT_TRUE(wal_->RemoveLog(4).ok());
   for (int k = 0; k < 4; k++) {
@@ -97,7 +104,7 @@ TEST_F(EWalTest, RemoveLogDeletesAllSegments) {
 TEST_F(EWalTest, CorruptSegmentTruncatesOnlyThatShard) {
   ASSERT_TRUE(wal_->NewLog(5).ok());
   for (int i = 0; i < 40; i++) {
-    ASSERT_TRUE(wal_->AddRecord("record" + std::to_string(i)).ok());
+    ASSERT_TRUE(wal_->AddRecord("record" + std::to_string(i), nullptr).ok());
   }
   ASSERT_TRUE(wal_->CloseLog().ok());
 
@@ -125,6 +132,160 @@ TEST_F(EWalTest, CorruptSegmentTruncatesOnlyThatShard) {
   EXPECT_GE(replayed, 30);
   EXPECT_LT(replayed, 40);
   EXPECT_TRUE(shards.count(1) && shards.count(2) && shards.count(3));
+}
+
+// ---------- Sync(position) contract ----------
+
+std::vector<uint64_t> AppendedBytes(SyncCountingEnv* env, uint64_t log,
+                                    int segments) {
+  std::vector<uint64_t> appended(segments);
+  for (int k = 0; k < segments; k++) {
+    appended[k] = env->Counts(EWalFileName("/db", log, k)).appended;
+  }
+  return appended;
+}
+
+// Sync(position) makes the record at `position` and every earlier record
+// durable. r1 lands in segment 0 and is not synced, r2 in segment 1;
+// syncing through r2 must sync both segments. Checked through the Env: each
+// segment's synced bytes reach what it held when r2 was appended.
+TEST(EWalSyncTest, SyncThroughPositionCoversEarlierSegments) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  SyncCountingEnv env(mem.get(), "ewal-");
+  EWalOptions options;
+  options.segments = 4;
+  std::unique_ptr<WalManager> wal = NewEWalManager(&env, "/db", options);
+  ASSERT_TRUE(wal->ConcurrentSyncs());
+  ASSERT_TRUE(wal->NewLog(1).ok());
+
+  WalPosition r1, r2;
+  ASSERT_TRUE(wal->AddRecord("record-1", &r1).ok());
+  ASSERT_TRUE(wal->AddRecord("record-2", &r2).ok());
+  EXPECT_EQ(0, r1.segment);
+  EXPECT_EQ(1, r2.segment);
+  EXPECT_LT(r1.record, r2.record);
+  const std::vector<uint64_t> appended = AppendedBytes(&env, 1, 4);
+  EXPECT_GT(appended[0], 0u);
+  EXPECT_GT(appended[1], 0u);
+
+  ASSERT_TRUE(wal->Sync(r2).ok());
+  for (int k = 0; k < 4; k++) {
+    EXPECT_GE(env.Counts(EWalFileName("/db", 1, k)).synced, appended[k]) << k;
+  }
+  // Segments that hold no record are left alone, and syncing through r1
+  // afterwards finds nothing left to do.
+  EXPECT_EQ(0, env.Counts(EWalFileName("/db", 1, 2)).syncs);
+  EXPECT_EQ(0, env.Counts(EWalFileName("/db", 1, 3)).syncs);
+  ASSERT_TRUE(wal->Sync(r1).ok());
+  EXPECT_EQ(1, env.Counts(EWalFileName("/db", 1, 0)).syncs);
+  EXPECT_EQ(1, env.Counts(EWalFileName("/db", 1, 1)).syncs);
+  ASSERT_TRUE(wal->CloseLog().ok());
+}
+
+// One appender against concurrent Sync(position) callers, the shape of the
+// write path with overlapped syncs: whenever Sync(position) returns OK,
+// every segment is durable at least up to what it held when that record
+// was appended.
+TEST(EWalSyncTest, ConcurrentSyncsCoverEveryEarlierRecord) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  SyncCountingEnv env(mem.get(), "ewal-");
+  EWalOptions options;
+  options.segments = 4;
+  std::unique_ptr<WalManager> wal = NewEWalManager(&env, "/db", options);
+  ASSERT_TRUE(wal->NewLog(7).ok());
+
+  struct Token {
+    WalPosition position;
+    std::vector<uint64_t> appended;
+  };
+  constexpr int kRecords = 400;
+  constexpr int kSyncers = 3;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Token> tokens;
+  bool appending = true;
+  std::atomic<int> failed_syncs{0};
+  std::atomic<int> uncovered{0};
+
+  std::vector<std::thread> syncers;
+  for (int t = 0; t < kSyncers; t++) {
+    syncers.emplace_back([&] {
+      while (true) {
+        Token token;
+        {
+          std::unique_lock<std::mutex> l(mu);
+          cv.wait(l, [&] { return !tokens.empty() || !appending; });
+          if (tokens.empty()) return;
+          token = std::move(tokens.front());
+          tokens.pop_front();
+        }
+        if (!wal->Sync(token.position).ok()) {
+          failed_syncs.fetch_add(1);
+          continue;
+        }
+        for (int k = 0; k < options.segments; k++) {
+          if (env.Counts(EWalFileName("/db", 7, k)).synced <
+              token.appended[k]) {
+            uncovered.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kRecords; i++) {
+    Token token;
+    ASSERT_TRUE(
+        wal->AddRecord("record-" + std::to_string(i), &token.position).ok());
+    token.appended = AppendedBytes(&env, 7, options.segments);
+    std::lock_guard<std::mutex> l(mu);
+    tokens.push_back(std::move(token));
+    cv.notify_one();
+  }
+  {
+    std::lock_guard<std::mutex> l(mu);
+    appending = false;
+    cv.notify_all();
+  }
+  for (auto& t : syncers) t.join();
+
+  EXPECT_EQ(0, failed_syncs.load());
+  EXPECT_EQ(0, uncovered.load());
+  ASSERT_TRUE(wal->CloseLog().ok());
+}
+
+// A failed segment sync is sticky. Retrying an fsync after a failure may
+// report OK although the kernel dropped the dirty pages, so once segment 0's
+// sync failed, every later sync that needs segment 0 must fail too — even
+// though the Env would now sync it fine. Segments that did not fail keep
+// syncing, and a new log starts clean.
+TEST(EWalSyncTest, FailedSegmentSyncIsSticky) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  SyncCountingEnv env(mem.get(), "ewal-");
+  EWalOptions options;
+  options.segments = 4;
+  std::unique_ptr<WalManager> wal = NewEWalManager(&env, "/db", options);
+  ASSERT_TRUE(wal->NewLog(1).ok());
+
+  WalPosition r1, r2;
+  ASSERT_TRUE(wal->AddRecord("record-1", &r1).ok());
+  ASSERT_TRUE(wal->AddRecord("record-2", &r2).ok());
+  ASSERT_EQ(0, r1.segment);
+  ASSERT_EQ(1, r2.segment);
+
+  env.FailNextSync(EWalFileName("/db", 1, 0));
+  EXPECT_TRUE(wal->Sync(r1).IsIOError());
+  // r2's sync covers r1's segment: it must report the failure, not retry.
+  EXPECT_TRUE(wal->Sync(r2).IsIOError());
+  EXPECT_TRUE(wal->Sync(WalPosition::End()).IsIOError());
+  EXPECT_EQ(0, env.Counts(EWalFileName("/db", 1, 0)).syncs);
+  // Segment 1 synced on its own (Sync(r2) does its own segment first).
+  EXPECT_EQ(1, env.Counts(EWalFileName("/db", 1, 1)).syncs);
+
+  ASSERT_TRUE(wal->NewLog(2).ok());
+  WalPosition r3;
+  ASSERT_TRUE(wal->AddRecord("record-3", &r3).ok());
+  EXPECT_TRUE(wal->Sync(r3).ok());
+  ASSERT_TRUE(wal->CloseLog().ok());
 }
 
 // ---------- Crash recovery through the engine ----------

@@ -15,6 +15,7 @@
 #include "table/table.h"
 #include "table/table_builder.h"
 #include "util/clock.h"
+#include "util/metrics.h"
 
 namespace rocksmash {
 namespace {
@@ -222,6 +223,44 @@ TEST(PersistentCacheGcTest, SingleHotSstDiskFootprintBounded) {
   auto stats = cache.GetStats();
   EXPECT_LE(stats.data_bytes, options.capacity_bytes);
   EXPECT_LE(stats.disk_bytes, 2 * options.capacity_bytes + block.size());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistentCacheGcTest, ForcedExtentDropsAreCounted) {
+  // A read-only loop: each of four SSTs has one hot block, read every
+  // pass, and a stream of cold blocks read once. LRU eviction of the cold
+  // blocks leaves dead bytes in the append-only extents while the hot
+  // blocks keep every extent alive, so the disk footprint passes 2x the
+  // budget and whole extents are dropped — their hot, live blocks
+  // included. pcache.forced.drop.bytes counts those live bytes, which are
+  // part of pcache.evicted.bytes.
+  std::string dir = TestDir("pcache_forced_drop");
+  auto stats = CreateDBStatistics();
+  PersistentCacheOptions options;
+  options.dir = dir;
+  options.capacity_bytes = 64 * 1024;
+  options.layout = CacheLayout::kCompactionAware;
+  options.statistics = stats.get();
+  PersistentCache cache(options);
+
+  const std::string block(8 * 1024, 'f');
+  std::string out;
+  for (uint64_t pass = 1; pass <= 32; pass++) {
+    for (uint64_t sst = 1; sst <= 4; sst++) {
+      for (const uint64_t off : {uint64_t{0}, pass * 16384}) {
+        if (!cache.GetBlock(sst, off, &out)) {
+          cache.PutBlock(sst, off, block);
+        }
+      }
+    }
+  }
+  const uint64_t forced =
+      stats->GetTickerCount(PERSISTENT_CACHE_FORCED_DROP_BYTES);
+  EXPECT_GT(forced, 0u);
+  EXPECT_EQ(0u, forced % block.size());  // Whole live blocks only.
+  EXPECT_LE(forced, stats->GetTickerCount(PERSISTENT_CACHE_EVICTED_BYTES));
+  EXPECT_LE(cache.GetStats().disk_bytes,
+            2 * options.capacity_bytes + block.size());
   std::filesystem::remove_all(dir);
 }
 

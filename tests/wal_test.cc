@@ -138,9 +138,9 @@ class ClassicWalTest : public ::testing::Test {
 
 TEST_F(ClassicWalTest, WriteAndReplay) {
   ASSERT_TRUE(wal_->NewLog(5).ok());
-  ASSERT_TRUE(wal_->AddRecord("record1").ok());
-  ASSERT_TRUE(wal_->AddRecord("record2").ok());
-  ASSERT_TRUE(wal_->Sync().ok());
+  ASSERT_TRUE(wal_->AddRecord("record1", nullptr).ok());
+  ASSERT_TRUE(wal_->AddRecord("record2", nullptr).ok());
+  ASSERT_TRUE(wal_->Sync(WalPosition::End()).ok());
   ASSERT_TRUE(wal_->CloseLog().ok());
 
   std::vector<std::string> replayed;
@@ -159,9 +159,9 @@ TEST_F(ClassicWalTest, WriteAndReplay) {
 
 TEST_F(ClassicWalTest, ListAndRemove) {
   ASSERT_TRUE(wal_->NewLog(3).ok());
-  ASSERT_TRUE(wal_->AddRecord("x").ok());
+  ASSERT_TRUE(wal_->AddRecord("x", nullptr).ok());
   ASSERT_TRUE(wal_->NewLog(7).ok());
-  ASSERT_TRUE(wal_->AddRecord("y").ok());
+  ASSERT_TRUE(wal_->AddRecord("y", nullptr).ok());
   ASSERT_TRUE(wal_->CloseLog().ok());
 
   std::vector<uint64_t> logs;
@@ -179,7 +179,7 @@ TEST_F(ClassicWalTest, ListAndRemove) {
 TEST_F(ClassicWalTest, MaxShardsIsOne) { EXPECT_EQ(1, wal_->MaxShards()); }
 
 TEST_F(ClassicWalTest, AddRecordWithoutOpenLogFails) {
-  EXPECT_FALSE(wal_->AddRecord("x").ok());
+  EXPECT_FALSE(wal_->AddRecord("x", nullptr).ok());
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // protocol-level guarantees: group formation under concurrent writers,
 // every write landing under mixed sync/non-sync writers and flush
 // barriers, a flush barrier always leading its own group, error
-// propagation from a failed WAL sync, and all-or-nothing batch visibility
-// through snapshots while the parallel apply stage is racing.
+// propagation from a failed WAL sync (also when a later group's sync
+// overlapped it), syncs of consecutive groups overlapping on the eWAL's
+// segments, and all-or-nothing batch visibility through snapshots while the
+// parallel apply stage is racing.
 //
 // Like concurrency_stress_test.cc, this suite is designed to run under
 // both ThreadSanitizer and AddressSanitizer (CI runs it under each); the
@@ -24,6 +26,9 @@
 #include "env/env.h"
 #include "lsm/db.h"
 #include "lsm/wal.h"
+#include "mash/ewal.h"
+#include "sync_counting_env.h"
+#include "util/clock.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -178,30 +183,23 @@ TEST(WriteThreadTest, ConcurrentApplyLandsEveryWrite) {
 
 // ---------- WAL sync failure ----------
 
-// Delegating WAL whose Sync() fails or blocks on command.
+// Delegating WAL whose syncs fail or block on command.
 class ControlledSyncWal : public WalManager {
  public:
   explicit ControlledSyncWal(std::unique_ptr<WalManager> base)
       : base_(std::move(base)) {}
 
   Status NewLog(uint64_t number) override { return base_->NewLog(number); }
-  Status AddRecord(const Slice& record) override {
-    return base_->AddRecord(record);
+  Status AddRecord(const Slice& record, WalPosition* position) override {
+    return base_->AddRecord(record, position);
   }
-  Status Sync() override {
-    {
-      std::unique_lock<std::mutex> l(gate_mu_);
-      if (hold_syncs_) {
-        held_syncs_++;
-        gate_cv_.notify_all();
-        gate_cv_.wait(l, [this] { return !hold_syncs_; });
-      }
-    }
-    if (fail_syncs_.load(std::memory_order_acquire)) {
-      return Status::IOError("injected sync failure");
-    }
-    return base_->Sync();
+  Status Sync(const WalPosition& position) override {
+    Status s = Gate(position.record);
+    if (s.ok()) s = base_->Sync(position);
+    CountSuccess(s);
+    return s;
   }
+  bool ConcurrentSyncs() const override { return base_->ConcurrentSyncs(); }
   Status CloseLog() override { return base_->CloseLog(); }
   Status ListLogs(std::vector<uint64_t>* numbers) override {
     return base_->ListLogs(numbers);
@@ -220,8 +218,14 @@ class ControlledSyncWal : public WalManager {
   void SetFailSyncs(bool fail) {
     fail_syncs_.store(fail, std::memory_order_release);
   }
+  // Fail the sync of the record whose sync reached the gate first while
+  // syncs were held.
+  void FailFirstHeldSync() {
+    std::lock_guard<std::mutex> l(gate_mu_);
+    fail_record_ = held_records_.at(0);
+  }
 
-  // Park every Sync() until ReleaseSyncs().
+  // Park every sync until ReleaseSyncs().
   void HoldSyncs() {
     std::lock_guard<std::mutex> l(gate_mu_);
     hold_syncs_ = true;
@@ -231,19 +235,45 @@ class ControlledSyncWal : public WalManager {
     hold_syncs_ = false;
     gate_cv_.notify_all();
   }
-  // Returns once some Sync() is parked at the gate.
-  void WaitForHeldSync() {
+  // Returns true once `count` syncs in all have been parked at the gate,
+  // false if that does not happen within 10 s. A caller that goes on after
+  // false would test without its premise, so the result must be checked.
+  [[nodiscard]] bool WaitForHeldSync(int count = 1) {
     std::unique_lock<std::mutex> l(gate_mu_);
-    gate_cv_.wait(l, [this] { return held_syncs_ > 0; });
+    return gate_cv_.wait_for(l, std::chrono::seconds(10), [this, count] {
+      return static_cast<int>(held_records_.size()) >= count;
+    });
+  }
+  int succeeded_syncs() const {
+    return succeeded_syncs_.load(std::memory_order_acquire);
   }
 
  private:
+  Status Gate(uint64_t record) {
+    std::unique_lock<std::mutex> l(gate_mu_);
+    if (hold_syncs_) {
+      held_records_.push_back(record);
+      gate_cv_.notify_all();
+      gate_cv_.wait(l, [this] { return !hold_syncs_; });
+    }
+    if (fail_syncs_.load(std::memory_order_acquire) ||
+        (record != 0 && record == fail_record_)) {
+      return Status::IOError("injected sync failure");
+    }
+    return Status::OK();
+  }
+  void CountSuccess(const Status& s) {
+    if (s.ok()) succeeded_syncs_.fetch_add(1, std::memory_order_acq_rel);
+  }
+
   std::unique_ptr<WalManager> base_;
   std::atomic<bool> fail_syncs_{false};
+  std::atomic<int> succeeded_syncs_{0};
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
   bool hold_syncs_ = false;
-  int held_syncs_ = 0;
+  std::vector<uint64_t> held_records_;  // Records parked so far, in order.
+  uint64_t fail_record_ = 0;            // 0: none.
 };
 
 // ---------- Flush barriers ----------
@@ -291,7 +321,13 @@ TEST(WriteThreadTest, FlushBarrierLeadsItsOwnGroup) {
   sync_wo.sync = true;
   wal_ptr->HoldSyncs();
   std::thread a([&] { EXPECT_TRUE(db->Put(sync_wo, "key-a", "va").ok()); });
-  wal_ptr->WaitForHeldSync();  // A leads and is parked in its WAL sync.
+  // A leads and is parked in its WAL sync.
+  const bool a_parked = wal_ptr->WaitForHeldSync();
+  if (!a_parked) {
+    wal_ptr->ReleaseSyncs();
+    a.join();
+  }
+  ASSERT_TRUE(a_parked) << "A never reached its WAL sync";
   std::thread b([&] { EXPECT_TRUE(db->Put(sync_wo, "key-b", "vb").ok()); });
   // Let B queue behind A before C queues behind B. Should the scheduler
   // ever run C first, C leads alone and the case degrades to a plain flush
@@ -361,6 +397,126 @@ TEST(WriteThreadTest, SyncFailurePoisonsWrites) {
   EXPECT_FALSE(db->CompactRange(nullptr, nullptr).ok());
 
   db.reset();
+}
+
+// With a multi-segment eWAL the write path hands the queue on after the
+// append, so an earlier group may still be syncing while a later one has
+// already synced its own record. Group N's sync fails here while group
+// N+1's succeeds: acking N+1 would ack past a record that may be lost, so
+// both writes fail, later writes are refused, and pre-failure reads work.
+TEST(WriteThreadTest, LaterGroupFailsWhenEarlierSyncFails) {
+  const std::string dbname = TestDir("sync_fail_overlapped");
+  std::filesystem::remove_all(dbname);
+
+  Env* env = Env::Default();
+  ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
+  EWalOptions ew;
+  ew.segments = 4;
+  auto wal = std::make_unique<ControlledSyncWal>(
+      NewEWalManager(env, dbname, ew));
+  ControlledSyncWal* wal_ptr = wal.get();
+
+  DBOptions options;
+  options.create_if_missing = true;
+  options.wal_manager = wal_ptr;
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+
+  WriteOptions sync_wo;
+  sync_wo.sync = true;
+  ASSERT_TRUE(db->Put(sync_wo, "healthy", "before").ok());
+
+  wal_ptr->HoldSyncs();
+  Status a_status, b_status;
+  std::thread a([&] { a_status = db->Put(sync_wo, "key-a", "va"); });
+  // A appended and is syncing.
+  const bool a_parked = wal_ptr->WaitForHeldSync(1);
+  if (!a_parked) {
+    wal_ptr->ReleaseSyncs();
+    a.join();
+  }
+  ASSERT_TRUE(a_parked) << "A never reached its WAL sync";
+  std::thread b([&] { b_status = db->Put(sync_wo, "key-b", "vb"); });
+  // B can reach its sync only if A handed the queue on before syncing.
+  const bool overlapped = wal_ptr->WaitForHeldSync(2);
+  if (overlapped) wal_ptr->FailFirstHeldSync();
+  const int succeeded_before = wal_ptr->succeeded_syncs();
+  wal_ptr->ReleaseSyncs();
+  a.join();
+  b.join();
+  ASSERT_TRUE(overlapped) << "B's sync never started while A's was held";
+
+  EXPECT_FALSE(a_status.ok());
+  EXPECT_FALSE(b_status.ok()) << "acked past a failed sync";
+  // B's own sync did succeed: its failure is inherited from A.
+  EXPECT_EQ(succeeded_before + 1, wal_ptr->succeeded_syncs());
+
+  // The failure is sticky.
+  EXPECT_FALSE(db->Put(sync_wo, "after-sync", "value").ok());
+  EXPECT_FALSE(db->Put(WriteOptions(), "after", "value").ok());
+
+  std::string value;
+  EXPECT_TRUE(db->Get(ReadOptions(), "healthy", &value).ok());
+  EXPECT_EQ("before", value);
+  db.reset();
+}
+
+// ---------- Overlapped WAL syncs ----------
+
+// Two synced writers over a 4-segment eWAL with a 20 ms modeled sync. A
+// group hands the write queue on after its append, so the next group
+// appends to another segment and syncs it while the first sync is still
+// running: the peak number of segment-file syncs in flight reaches 2. A
+// write path that held the queue through the sync keeps it at 1.
+TEST(WriteThreadTest, SyncsOverlapAcrossEWalSegments) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  DeviceLatencyModel device;
+  device.sync_micros = 20000;
+  std::unique_ptr<Env> timed =
+      NewTimedEnv(mem.get(), SystemClock::Default(), device);
+  SyncCountingEnv env(timed.get(), "ewal-");
+  const std::string dbname = "/overlapped_syncs";
+  EWalOptions ew;
+  ew.segments = 4;
+  std::unique_ptr<WalManager> wal = NewEWalManager(&env, dbname, ew);
+
+  auto stats = CreateDBStatistics();
+  DBOptions options;
+  options.create_if_missing = true;
+  options.env = &env;
+  options.wal_manager = wal.get();
+  options.statistics = stats.get();
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+
+  constexpr int kWriters = 2;
+  constexpr uint64_t kPutsPerWriter = 20;
+  std::atomic<uint64_t> errors{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) {
+    threads.emplace_back([&db, &errors, w] {
+      WriteOptions wo;
+      wo.sync = true;
+      for (uint64_t i = 0; i < kPutsPerWriter; i++) {
+        if (!db->Put(wo, KeyOf(w, i), ValueOf(w, i)).ok()) errors.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(0u, errors.load());
+
+  EXPECT_GE(env.PeakConcurrentSyncs(), 2);
+  EXPECT_GT(stats->GetTickerCount(WAL_SYNC_OVERLAPPED), 0u);
+  std::string value;
+  for (int w = 0; w < kWriters; w++) {
+    for (uint64_t i = 0; i < kPutsPerWriter; i++) {
+      ASSERT_TRUE(db->Get(ReadOptions(), KeyOf(w, i), &value).ok());
+      EXPECT_EQ(ValueOf(w, i), value);
+    }
+  }
+  EXPECT_TRUE(db->Close().ok());
 }
 
 // DB::Close must surface a WAL sync failure. Before Close existed the final
