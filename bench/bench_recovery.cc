@@ -1,5 +1,5 @@
 // E5 — Recovery: time to recover from a crash with N MiB of unflushed WAL,
-// classic WAL vs eWAL at 2/4/8 segments, plus a WAL-size sweep. Reports
+// eWAL at 1/2/4/8/16 segments, plus a WAL-size sweep. Reports
 // wall-clock (bounded by this host's core count) and the measured parallel
 // critical path (per-shard replay + per-table flush maxima) — the time on a
 // host with >= segment cores. Zero-loss is verified every run.
@@ -12,7 +12,6 @@
 #include "common.h"
 #include "env/env.h"
 #include "lsm/db.h"
-#include "mash/ewal.h"
 #include "mash/recovery.h"
 
 using namespace rocksmash;
@@ -33,19 +32,9 @@ Row RunOne(const std::string& workdir, int segments, uint64_t wal_bytes,
       std::to_string(wal_bytes);
   bench::CheckOk(env->CreateDirRecursively(dbname), "create bench db dir");
 
-  std::unique_ptr<WalManager> wal;
-  if (segments == 1) {
-    wal = NewClassicWalManager(env, dbname);
-  } else {
-    EWalOptions ew;
-    ew.segments = segments;
-    wal = NewEWalManager(env, dbname, ew);
-  }
-
   DBOptions options;
   options.env = env;
-  options.wal_manager = wal.get();
-  options.recovery_threads = segments;
+  options.wal_segments = segments;
   options.write_buffer_size = 2 * wal_bytes;
   // Feed the shared ticker snapshot in BENCH_recovery.json (wal.*,
   // recovery.* tickers from the fill and the measured reopen).
@@ -106,8 +95,7 @@ int main(int argc, char** argv) {
     Row r = RunOne(workdir, segments, wal_bytes, env.get());
     if (segments == 1) base_parallel = r.parallel_ms;
     char name[24];
-    std::snprintf(name, sizeof(name),
-                  segments == 1 ? "classic" : "eWAL-%d", segments);
+    std::snprintf(name, sizeof(name), "eWAL-%d", segments);
     std::printf("%-10s %12.1f %14.1f %11.2fx %10llu %8llu\n", name, r.wall_ms,
                 r.parallel_ms,
                 r.parallel_ms > 0 ? base_parallel / r.parallel_ms : 0.0,
@@ -120,15 +108,15 @@ int main(int argc, char** argv) {
     report.Metric("lost", static_cast<double>(r.lost));
   }
 
-  std::printf("\nE5b — recovery time vs WAL size (eWAL-4 vs classic)\n\n");
-  std::printf("%-10s %14s %14s %14s %14s\n", "WAL MiB", "classic wall",
-              "classic par.", "eWAL-4 wall", "eWAL-4 par.");
+  std::printf("\nE5b — recovery time vs WAL size (eWAL-4 vs eWAL-1)\n\n");
+  std::printf("%-10s %14s %14s %14s %14s\n", "WAL MiB", "eWAL-1 wall",
+              "eWAL-1 par.", "eWAL-4 wall", "eWAL-4 par.");
   for (uint64_t mib : {4ull, 8ull, 16ull, small ? 24ull : 32ull}) {
-    Row c = RunOne(workdir, 1, mib << 20, env.get());
-    Row e = RunOne(workdir, 4, mib << 20, env.get());
+    Row one = RunOne(workdir, 1, mib << 20, env.get());
+    Row four = RunOne(workdir, 4, mib << 20, env.get());
     std::printf("%-10llu %14.1f %14.1f %14.1f %14.1f\n",
-                (unsigned long long)mib, c.wall_ms, c.parallel_ms, e.wall_ms,
-                e.parallel_ms);
+                (unsigned long long)mib, one.wall_ms, one.parallel_ms,
+                four.wall_ms, four.parallel_ms);
     std::fflush(stdout);
   }
 

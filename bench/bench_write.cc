@@ -7,8 +7,12 @@
 // Concurrent-writer mode: --threads=N switches to a multi-writer fillrandom
 // on the LocalOnly scheme and sweeps the write path over 1, 2, 4, ... N
 // writer threads, one BENCH_write.json row per thread count.
+// --wal_segments=K (default 1) stripes the WAL over K eWAL segments; with
+// K > 1 the mode runs the RocksMash scheme, the one that stripes its WAL,
+// whose group syncs then overlap (wal.sync.overlapped).
 //
-//   ./bench_write --threads=8
+//   ./bench_write --threads=8 [--wal_segments=4]
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -105,8 +109,8 @@ MtResult ConcurrentFillRandom(KVStore* store, const Scale& scale,
 }
 
 // Thread-scaling sweep of the write path; returns 0/1 for main().
-int RunThreadedMode(const std::string& workdir, Scale scale,
-                    int max_threads) {
+int RunThreadedMode(const std::string& workdir, Scale scale, int max_threads,
+                    int wal_segments) {
   JsonReport report("write");
 
   // At the default smoke scale the writers finish before a queue ever
@@ -126,13 +130,17 @@ int RunThreadedMode(const std::string& workdir, Scale scale,
   base.max_file_size = 4 << 20;
   base.max_bytes_for_level_base = 32 << 20;
   base.max_write_group_bytes = kWriteGroupCap;
+  base.wal_segments = wal_segments;
+  const SchemeKind kind =
+      wal_segments > 1 ? SchemeKind::kRocksMash : SchemeKind::kLocalOnly;
 
   std::vector<int> thread_counts;
   for (int t = 1; t < max_threads; t *= 2) thread_counts.push_back(t);
   thread_counts.push_back(max_threads);
 
-  std::printf("E4 — concurrent fillrandom, %llu writes x %zu B values, "
-              "1..%d writer threads, best of %d\n\n",
+  std::printf("E4 — concurrent fillrandom on %s (eWAL-%d), %llu writes x "
+              "%zu B values, 1..%d writer threads, best of %d\n\n",
+              SchemeName(kind), wal_segments,
               (unsigned long long)scale.num_keys, scale.value_size,
               max_threads, kPeakReps);
   std::printf("%8s %12s %8s\n", "threads", "ops/sec", "errors");
@@ -147,7 +155,7 @@ int RunThreadedMode(const std::string& workdir, Scale scale,
         NewTimedEnv(mem_env.get(), SystemClock::Default(), wal_device);
     SchemeOptions opts = base;
     opts.env = timed_env.get();
-    Rig rig = OpenRig(workdir, SchemeKind::kLocalOnly, opts);
+    Rig rig = OpenRig(workdir, kind, opts);
     MtResult r = ConcurrentFillRandom(rig.store.get(), scale, threads);
     bench::CheckOk(rig.store->FlushMemTable(), "settle flush");
     rig.store->WaitForCompaction();
@@ -185,13 +193,16 @@ int main(int argc, char** argv) {
   Scale scale = ParseScale(argc, argv);
 
   int threads = 0;
+  int wal_segments = 1;
   for (int i = 1; i < argc; i++) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = std::atoi(argv[i] + 10);
+    } else if (std::strncmp(argv[i], "--wal_segments=", 15) == 0) {
+      wal_segments = std::max(1, std::atoi(argv[i] + 15));
     }
   }
   if (threads > 1) {
-    return RunThreadedMode(workdir, scale, threads);
+    return RunThreadedMode(workdir, scale, threads, wal_segments);
   }
 
   JsonReport report("write");

@@ -1,6 +1,6 @@
 // Crash-recovery demo: fill the WAL with unflushed writes, "crash", and
-// time recovery with the classic WAL vs the eWAL at several striping
-// factors — the paper's "fast parallel data recovery" claim, live.
+// time recovery with the eWAL at several striping factors — the paper's
+// "fast parallel data recovery" claim, live.
 //
 //   ./example_crash_recovery [workdir] [wal_mib] [disk|mem]
 //
@@ -15,7 +15,6 @@
 
 #include "env/env.h"
 #include "lsm/db.h"
-#include "mash/ewal.h"
 #include "mash/recovery.h"
 
 using namespace rocksmash;
@@ -50,19 +49,9 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    std::unique_ptr<WalManager> wal;
-    if (segments == 1) {
-      wal = NewClassicWalManager(env, dbname);
-    } else {
-      EWalOptions ew;
-      ew.segments = segments;
-      wal = NewEWalManager(env, dbname, ew);
-    }
-
     DBOptions options;
     options.env = env;
-    options.wal_manager = wal.get();
-    options.recovery_threads = segments;
+    options.wal_segments = segments;
     options.write_buffer_size = 2 * crash.wal_bytes;  // No flush: WAL holds all.
 
     uint64_t keys = 0;
@@ -97,8 +86,7 @@ int main(int argc, char** argv) {
                                 m.stats.flush_critical_micros) /
                                1000.0;
     char name[32];
-    std::snprintf(name, sizeof(name),
-                  segments == 1 ? "classic" : "eWAL-%d", segments);
+    std::snprintf(name, sizeof(name), "eWAL-%d", segments);
     std::printf("%-12s %14.1f %12.1f %12.1f %14.1f %14llu %10llu\n", name, ms,
                 m.stats.replay_micros / 1000.0, m.stats.flush_micros / 1000.0,
                 parallel_ms,

@@ -11,7 +11,6 @@
 #include "lsm/filename.h"
 #include "lsm/wal.h"
 #include "lsm/write_batch.h"
-#include "mash/ewal.h"
 #include "util/slice.h"
 #include "util/status.h"
 

@@ -8,7 +8,6 @@
 #include "env/env.h"
 #include "lsm/filename.h"
 #include "lsm/sharded_db.h"
-#include "mash/ewal.h"
 #include "mash/placement.h"
 #include "util/prefix_extractor.h"
 
@@ -403,12 +402,7 @@ Status OpenKVStore(const SchemeOptions& options,
         ts.async_uploads = options.async_uploads;
         ts.upload_threads = options.upload_threads;
         kv->storages_.push_back(std::make_unique<TieredTableStorage>(ts));
-        if (options.wal_segments > 1) {
-          EWalOptions ew;
-          ew.segments = options.wal_segments;
-          kv->wals_.push_back(NewEWalManager(env, spec.path, ew));
-          spec.options.wal_manager = kv->wals_.back().get();
-        }
+        spec.options.wal_segments = options.wal_segments;
         break;
     }
     spec.options.table_storage = kv->storages_.back().get();

@@ -36,7 +36,6 @@
 #include "lsm/db.h"
 #include "lsm/shared_resources.h"
 #include "lsm/storage.h"
-#include "lsm/wal.h"
 #include "mash/persistent_cache.h"
 
 namespace rocksmash {
@@ -69,7 +68,7 @@ struct SchemeOptions {
 
   // kRocksMash knobs.
   int cloud_level_start = 2;
-  int wal_segments = 4;
+  int wal_segments = 4;  // eWAL segments per shard; the baselines run 1.
   CacheLayout cache_layout = CacheLayout::kCompactionAware;
   bool pin_hot_files = false;
   // Async upload pipeline (kRocksMash): cloud-level installs enqueue their
@@ -243,9 +242,9 @@ class KVStore {
   explicit KVStore(const SchemeOptions& options) : options_(options) {}
 
   SchemeOptions options_;
-  // Members are destroyed bottom-up: the engine first (it uses the WALs
-  // and storages), then the WALs, the storages, the persistent cache they
-  // read through, and last the shared pools everything may schedule on.
+  // Members are destroyed bottom-up: the engine first (it uses the
+  // storages), then the storages, the persistent cache they read through,
+  // and last the shared pools everything may schedule on.
   std::shared_ptr<SharedResources> shared_resources_;
   // Owned when the store has no SharedResources; block_cache_ points at
   // the cache the engine uses either way.
@@ -254,9 +253,6 @@ class KVStore {
   std::unique_ptr<PersistentCache> pcache_;  // kRocksMash only
   // One per shard (a single entry when num_shards == 1).
   std::vector<std::unique_ptr<TableStorage>> storages_;
-  // kRocksMash with wal_segments > 1: one eWAL per shard. Otherwise empty
-  // and each shard's engine keeps its own classic WAL.
-  std::vector<std::unique_ptr<WalManager>> wals_;
   // kCloudSstCache: one counter block per shard, so concurrent shards never
   // race on a shared struct; Stats() sums them.
   std::vector<std::shared_ptr<SstFileCacheStats>> file_cache_stats_;

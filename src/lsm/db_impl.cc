@@ -254,7 +254,9 @@ DBImpl::DBImpl(const DBOptions& raw_options, const std::string& dbname)
   if (options_.wal_manager != nullptr) {
     wal_ = options_.wal_manager;
   } else {
-    owned_wal_ = NewClassicWalManager(env_, dbname_);
+    EWalOptions wal_options;
+    wal_options.segments = options_.wal_segments;
+    owned_wal_ = NewEWalManager(env_, dbname_, wal_options);
     wal_ = owned_wal_.get();
   }
   if (options_.block_cache != nullptr) {
@@ -657,13 +659,12 @@ Status DBImpl::Recover(VersionEdit* edit) {
         }
       }
       if (!pending.empty()) {
-        // Bounded by hardware concurrency: oversubscription gains nothing
-        // and pollutes the critical-path timings.
+        // One thread per recovered memtable, bounded by hardware
+        // concurrency: oversubscription gains nothing and pollutes the
+        // critical-path timings.
         const int hw =
             std::max(1u, std::thread::hardware_concurrency());
-        const int threads = std::max(
-            1, std::min({options_.recovery_threads,
-                         static_cast<int>(pending.size()), hw}));
+        const int threads = std::min(static_cast<int>(pending.size()), hw);
         ThreadPool pool(threads, "recovery-flush");
         for (Pending& p : pending) {
           Pending* pp = &p;

@@ -189,7 +189,7 @@ class DBImpl final : public DB {
 
   // Owned defaults for pluggable pieces the caller left null.
   std::unique_ptr<TableStorage> owned_storage_;
-  std::unique_ptr<WalManager> owned_wal_;
+  std::unique_ptr<WalManager> owned_wal_;  // The eWAL, from wal_segments.
   std::unique_ptr<Cache> owned_block_cache_;
   TableStorage* storage_;
   WalManager* wal_;

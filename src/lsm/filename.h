@@ -1,6 +1,6 @@
 // File naming for everything in a DB directory:
 //   {number}.sst            table file (local tier)
-//   {number}.log            classic WAL
+//   {number}.log            legacy single-file WAL (replayed, never written)
 //   ewal-{number}-{k}.log   eWAL segment k of log `number`
 //   MANIFEST-{number}       version log
 //   CURRENT                 points at current MANIFEST

@@ -69,8 +69,15 @@ struct DBOptions {
   // baselines are provided via this hook. Not owned.
   TableStorage* table_storage = nullptr;
 
-  // WAL implementation. nullptr: classic single-file WAL. The eWAL is
-  // provided via this hook. Not owned.
+  // Number of eWAL segment files the DB's log is striped over (see
+  // lsm/wal.h). Also the number of recovery lanes: each segment replays on
+  // its own thread into its own memtable, and each such memtable is flushed
+  // on its own thread (both bounded by the host's cores). Values < 1 are
+  // treated as 1.
+  int wal_segments = 1;
+
+  // Test seam: a WalManager to use instead of the eWAL the DB builds from
+  // wal_segments (tests wrap one to control its syncs). Not owned.
   WalManager* wal_manager = nullptr;
 
   // RAM block cache shared across tables. Not owned; nullptr: 8 MiB default
@@ -115,10 +122,6 @@ struct DBOptions {
 
   // Number of open tables kept in the table cache.
   int max_open_files = 1000;
-
-  // Threads used for parallel WAL replay at startup (bounded additionally
-  // by the WAL's shard count).
-  int recovery_threads = 4;
 
   // Background job lanes. Flushes and compactions run on separate owned
   // thread pools so a memtable flush never queues behind a long compaction

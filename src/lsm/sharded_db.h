@@ -68,7 +68,8 @@ class ShardedDB : public DB {
   // the memtable budget, and the group's only stats-dump thread on shard 0.
   // The marker persists N: reopening with another count, or sharding a
   // store that already holds unsharded data, returns InvalidArgument.
-  // Callers add per-shard table storage and WALs before opening the specs.
+  // Callers add per-shard table storage before opening the specs; each
+  // shard's engine builds its own eWAL from base.wal_segments.
   static Status PrepareShards(const DBOptions& base, const std::string& name,
                               int num_shards,
                               SharedResourcesOptions resources,

@@ -1,7 +1,5 @@
-// WalManager: the write-ahead-log strategy. The classic implementation is a
-// single log file per memtable epoch with sequential replay. RocksMash's
-// eWAL (mash/ewal.h) stripes records over K segment files and replays them
-// in parallel.
+// WalManager: the write-ahead-log interface, and the eWAL, RocksMash's
+// extended write-ahead log and the engine's only log.
 //
 // Durability semantics: after Sync(position) returns OK, the record at
 // `position` and every record added before it are durable; a sync already
@@ -37,8 +35,7 @@ class Env;
 
 // Where AddRecord put a record: the token Sync(position) makes durable.
 // `record` counts the records of the current log from 1; `segment` is the
-// file that holds it. A single-file log, whose every sync covers the whole
-// file, leaves the position at its default.
+// file that holds it.
 struct WalPosition {
   uint64_t record = 0;
   int segment = 0;
@@ -83,10 +80,9 @@ class WalManager {
   };
 
   // Replay log `number`: apply(record, shard) for every intact record.
-  // `shard` identifies the replay lane in [0, MaxShards()); the classic WAL
-  // always uses shard 0 on the calling thread. The eWAL invokes apply
-  // concurrently from up to MaxShards() threads, one shard per thread, so
-  // apply must be safe for *distinct* shards in parallel.
+  // `shard` identifies the replay lane in [0, MaxShards()). apply may be
+  // invoked concurrently from up to MaxShards() threads, one shard per
+  // thread, so it must be safe for *distinct* shards in parallel.
   virtual Status Replay(
       uint64_t number,
       const std::function<Status(const Slice& record, int shard)>& apply,
@@ -95,8 +91,45 @@ class WalManager {
   virtual int MaxShards() const = 0;
 };
 
-// Classic single-file WAL in the DB directory.
-std::unique_ptr<WalManager> NewClassicWalManager(Env* env,
-                                                 const std::string& dbname);
+// eWAL: a logical log `number` is striped over K segment files
+// (ewal-{number}-{k}.log). Each AddRecord goes entirely to one segment, so
+// a record is never split across segments: round-robin over records,
+// skipping a segment whose sync is in flight. Sync(position) makes the
+// record at `position` and every earlier record durable, syncing only the
+// segments that hold such a record not yet synced, and waiting out a sync
+// already in flight on a segment rather than repeating it;
+// Sync(WalPosition::End()) syncs every dirty segment (fsync epoch, used at
+// close). A failed segment sync is sticky: the file's unsynced records stay
+// unsynced, and every later sync that needs them fails with the first error
+// instead of retrying an fsync that could report OK for lost pages. Either
+// way "acked writes are durable" holds.
+//
+// Concurrency: each segment has its own mutex, held across that segment's
+// appends and its sync. Syncs of different segments therefore run at the
+// same time, and an append to a segment that is not syncing never waits
+// for one that is — which is what lets the write path overlap the syncs of
+// consecutive write groups (ConcurrentSyncs() is true for K > 1). With
+// K = 1 every sync covers the whole log, and the write path syncs before it
+// hands the write queue on.
+//
+// Recovery replays the K segments with one thread per segment. Records are
+// applied out of global order across segments — safe, because every record
+// (a serialized WriteBatch) carries its own sequence numbers and the LSM
+// applies entries with their original sequences; the merged result is
+// identical to sequential replay. Unsynced tail records may survive in one
+// segment but not another; this yields RocksDB-kPointInTime-like semantics
+// per segment and is the documented eWAL trade-off for near-linear recovery
+// speedup. A log may be replayed with a K other than the one it was written
+// with. A legacy single-file log ({number}.log, same record framing) is
+// listed, replayed on shard 0 and removed like a log of one segment;
+// nothing writes that format any more.
+struct EWalOptions {
+  int segments = 4;
+  // Threads used for replay; 0 = one per segment.
+  int replay_threads = 0;
+};
+
+std::unique_ptr<WalManager> NewEWalManager(Env* env, const std::string& dbname,
+                                           EWalOptions options = {});
 
 }  // namespace rocksmash

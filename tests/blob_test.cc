@@ -165,7 +165,8 @@ TEST_F(BlobTest, RandomizedModelAcrossValueSizes) {
   for (int step = 0; step < 6; step++) {
     for (int i = 0; i < 300; i++) {
       char key[16];
-      std::snprintf(key, sizeof(key), "key%03d", rnd.Uniform(400));
+      std::snprintf(key, sizeof(key), "key%03d",
+                    static_cast<int>(rnd.Uniform(400)));
       if (rnd.OneIn(5)) {
         ASSERT_TRUE(db_->Delete(WriteOptions(), key).ok());
         model.erase(key);
@@ -317,7 +318,8 @@ TEST_F(BlobTest, GcRacesReadsUnderChurn) {
     Random64 rnd(17);
     while (!stop.load(std::memory_order_relaxed)) {
       char key[16];
-      std::snprintf(key, sizeof(key), "key%03d", rnd.Uniform(kKeys));
+      std::snprintf(key, sizeof(key), "key%03d",
+                    static_cast<int>(rnd.Uniform(kKeys)));
       PinnableSlice value;
       Status s = db_->Get(ReadOptions(), key, &value);
       if (s.ok()) {

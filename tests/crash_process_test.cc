@@ -1,7 +1,7 @@
 // Real crash-safety test: a forked child process writes synced records and
 // is SIGKILLed mid-stream; the parent recovers the store and verifies that
 // every write the child acknowledged (recorded durably *after* the synced
-// Put) survived. Runs against both the classic WAL and the eWAL.
+// Put) survived. Runs against the eWAL at one and at four segments.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -14,7 +14,6 @@
 
 #include "env/env.h"
 #include "lsm/db.h"
-#include "mash/ewal.h"
 #include "util/clock.h"
 
 namespace rocksmash {
@@ -28,15 +27,6 @@ std::string Key(uint64_t i) {
 
 std::string Value(uint64_t i) {
   return "value-" + std::to_string(i) + std::string(100, 'v');
-}
-
-std::unique_ptr<WalManager> MakeWal(int segments, const std::string& dbname) {
-  if (segments <= 1) {
-    return NewClassicWalManager(Env::Default(), dbname);
-  }
-  EWalOptions ew;
-  ew.segments = segments;
-  return NewEWalManager(Env::Default(), dbname, ew);
 }
 
 // Atomically publish progress = highest index whose write was acked+synced.
@@ -78,9 +68,8 @@ TEST_P(ProcessCrash, SigkillLosesNoAckedWrites) {
 
   if (child == 0) {
     // ---- Child: write synced records until killed. ----
-    auto wal = MakeWal(segments, dbname);
     DBOptions options;
-    options.wal_manager = wal.get();
+    options.wal_segments = segments;
     options.write_buffer_size = 64 << 20;  // Keep everything in the WAL.
     std::unique_ptr<DB> db;
     if (!DB::Open(options, dbname, &db).ok()) {
@@ -119,9 +108,8 @@ TEST_P(ProcessCrash, SigkillLosesNoAckedWrites) {
   ASSERT_GE(acked, 500u);
 
   // ---- Recover and verify: nothing acked may be missing or wrong. ----
-  auto wal = MakeWal(segments, dbname);
   DBOptions options;
-  options.wal_manager = wal.get();
+  options.wal_segments = segments;
   options.write_buffer_size = 64 << 20;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
@@ -165,9 +153,8 @@ TEST_P(ProcessCrash, SigkillWithConcurrentWritersLosesNoAckedWrites) {
 
   if (child == 0) {
     // ---- Child: 4 threads write synced records until killed. ----
-    auto wal = MakeWal(segments, dbname);
     DBOptions options;
-    options.wal_manager = wal.get();
+    options.wal_segments = segments;
     options.write_buffer_size = 64 << 20;  // Keep everything in the WAL.
     std::unique_ptr<DB> db;
     if (!DB::Open(options, dbname, &db).ok()) {
@@ -216,9 +203,8 @@ TEST_P(ProcessCrash, SigkillWithConcurrentWritersLosesNoAckedWrites) {
   ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exited on its own";
 
   // ---- Recover and verify every thread's acked prefix. ----
-  auto wal = MakeWal(segments, dbname);
   DBOptions options;
-  options.wal_manager = wal.get();
+  options.wal_segments = segments;
   options.write_buffer_size = 64 << 20;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
@@ -245,10 +231,7 @@ TEST_P(ProcessCrash, SigkillWithConcurrentWritersLosesNoAckedWrites) {
 
 INSTANTIATE_TEST_SUITE_P(WalKinds, ProcessCrash, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<int>& param_info) {
-                           return param_info.param == 1
-                                      ? std::string("classic")
-                                      : "ewal" +
-                                            std::to_string(param_info.param);
+                           return "ewal" + std::to_string(param_info.param);
                          });
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include "env/env.h"
 #include "lsm/db.h"
 #include "lsm/filename.h"
-#include "mash/ewal.h"
+#include "lsm/wal.h"
 #include "mash/recovery.h"
 #include "sync_counting_env.h"
 #include "util/mutexlock.h"
@@ -298,14 +298,7 @@ class RecoveryParam : public ::testing::TestWithParam<int> {
               std::to_string(segments_);
     std::filesystem::remove_all(dbname_);
     ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname_).ok());
-    if (segments_ > 1) {
-      EWalOptions ew;
-      ew.segments = segments_;
-      wal_ = NewEWalManager(Env::Default(), dbname_, ew);
-    } else {
-      wal_ = NewClassicWalManager(Env::Default(), dbname_);
-    }
-    options_.wal_manager = wal_.get();
+    options_.wal_segments = segments_;
     options_.write_buffer_size = 32 * 1024 * 1024;  // Avoid flushes.
   }
 
@@ -313,7 +306,6 @@ class RecoveryParam : public ::testing::TestWithParam<int> {
 
   int segments_ = 1;
   std::string dbname_;
-  std::unique_ptr<WalManager> wal_;
   DBOptions options_;
 };
 
@@ -357,90 +349,120 @@ TEST_P(RecoveryParam, RepeatedCrashRecoverCycles) {
 INSTANTIATE_TEST_SUITE_P(WalShards, RecoveryParam,
                          ::testing::Values(1, 2, 4, 8));
 
-// Switching WAL implementations between runs must not lose data: each
-// manager lists and replays BOTH formats.
-class WalSwitchTest : public ::testing::TestWithParam<bool> {};
+std::string KeyOf(int i) { return "k" + std::to_string(i); }
+std::string ValueOf(int i) { return "v" + std::to_string(i); }
 
-TEST_P(WalSwitchTest, DataSurvivesWalKindSwitch) {
-  const bool classic_first = GetParam();
-  std::string dbname = ::testing::TempDir() + "/rocksmash_walswitch_" +
-                       (classic_first ? "ce" : "ec");
+// Synced Puts of keys [begin, end) at `segments`, then a "crash": the DB is
+// dropped without a flush, so the writes live only in the WAL.
+void PutSyncedThenCrash(const std::string& dbname, int segments, int begin,
+                        int end) {
+  DBOptions options;
+  options.wal_segments = segments;
+  options.write_buffer_size = 8 << 20;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  WriteOptions sync;
+  sync.sync = true;
+  for (int i = begin; i < end; i++) {
+    ASSERT_TRUE(db->Put(sync, KeyOf(i), ValueOf(i)).ok());
+  }
+}
+
+// Opens at `segments` and counts the keys in [0, end) that are missing or
+// wrong.
+void CountLost(const std::string& dbname, int segments, int end,
+               int* lost) {
+  DBOptions options;
+  options.wal_segments = segments;
+  options.write_buffer_size = 8 << 20;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  std::string value;
+  *lost = 0;
+  for (int i = 0; i < end; i++) {
+    if (!db->Get(ReadOptions(), KeyOf(i), &value).ok() ||
+        value != ValueOf(i)) {
+      (*lost)++;
+    }
+  }
+}
+
+// Changing wal_segments between runs must not lose data: a log is replayed
+// with whatever segment count the DB now has. Crash at K1, reopen at K2,
+// write more, crash again, reopen at K2: every acked key is present.
+class SegmentCountChange
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(SegmentCountChange, SegmentCountChangeKeepsAckedWrites) {
+  const auto [from, to] = GetParam();
+  const std::string dbname = ::testing::TempDir() +
+                             "/rocksmash_segment_change_" +
+                             std::to_string(from) + "_" + std::to_string(to);
   std::filesystem::remove_all(dbname);
   ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname).ok());
 
-  auto make_wal = [&](bool classic) -> std::unique_ptr<WalManager> {
-    if (classic) return NewClassicWalManager(Env::Default(), dbname);
-    EWalOptions ew;
-    ew.segments = 4;
-    return NewEWalManager(Env::Default(), dbname, ew);
-  };
-
-  {
-    auto wal = make_wal(classic_first);
-    DBOptions options;
-    options.wal_manager = wal.get();
-    options.write_buffer_size = 8 << 20;
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
-    WriteOptions sync;
-    sync.sync = true;
-    for (int i = 0; i < 300; i++) {
-      ASSERT_TRUE(
-          db->Put(sync, "k" + std::to_string(i), "v" + std::to_string(i))
-              .ok());
-    }
-    // No flush: everything lives in the first-format WAL.
-  }
-
-  {
-    // Reopen with the OTHER WAL kind.
-    auto wal = make_wal(!classic_first);
-    DBOptions options;
-    options.wal_manager = wal.get();
-    options.write_buffer_size = 8 << 20;
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
-    std::string value;
-    for (int i = 0; i < 300; i++) {
-      ASSERT_TRUE(
-          db->Get(ReadOptions(), "k" + std::to_string(i), &value).ok())
-          << i;
-      EXPECT_EQ("v" + std::to_string(i), value);
-    }
-    // Write more under the new WAL, crash again, and recover once more
-    // with the new kind: both generations must be intact.
-    WriteOptions sync;
-    sync.sync = true;
-    for (int i = 300; i < 400; i++) {
-      ASSERT_TRUE(
-          db->Put(sync, "k" + std::to_string(i), "v" + std::to_string(i))
-              .ok());
-    }
-  }
-
-  {
-    auto wal = make_wal(!classic_first);
-    DBOptions options;
-    options.wal_manager = wal.get();
-    options.write_buffer_size = 8 << 20;
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
-    std::string value;
-    for (int i = 0; i < 400; i++) {
-      ASSERT_TRUE(
-          db->Get(ReadOptions(), "k" + std::to_string(i), &value).ok())
-          << i;
-    }
-  }
+  ASSERT_NO_FATAL_FAILURE(PutSyncedThenCrash(dbname, from, 0, 300));
+  int lost = -1;
+  ASSERT_NO_FATAL_FAILURE(CountLost(dbname, to, 300, &lost));
+  EXPECT_EQ(0, lost);
+  ASSERT_NO_FATAL_FAILURE(PutSyncedThenCrash(dbname, to, 300, 400));
+  ASSERT_NO_FATAL_FAILURE(CountLost(dbname, to, 400, &lost));
+  EXPECT_EQ(0, lost);
   std::filesystem::remove_all(dbname);
 }
 
-INSTANTIATE_TEST_SUITE_P(Directions, WalSwitchTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param
-                                      ? std::string("ClassicToEWal")
-                                      : std::string("EWalToClassic");
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Directions, SegmentCountChange,
+    ::testing::Values(std::make_pair(4, 1), std::make_pair(1, 4)),
+    [](const ::testing::TestParamInfo<std::pair<int, int>>& param_info) {
+      return "K" + std::to_string(param_info.param.first) + "ToK" +
+             std::to_string(param_info.param.second);
+    });
+
+// A store written when the engine used a single-file log ({number}.log)
+// still opens: the eWAL lists and replays that format, and removes it once
+// the log is obsolete. The legacy file is made from a one-segment eWAL log,
+// which has the same record framing.
+TEST(LegacyLogTest, LegacySingleFileLogReplays) {
+  const std::string dbname = ::testing::TempDir() + "/rocksmash_legacy_log";
+  std::filesystem::remove_all(dbname);
+  ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname).ok());
+  ASSERT_NO_FATAL_FAILURE(PutSyncedThenCrash(dbname, 1, 0, 300));
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(Env::Default()->GetChildren(dbname, &children).ok());
+  std::vector<uint64_t> legacy;
+  for (const std::string& child : children) {
+    uint64_t number;
+    int segment;
+    if (ParseEWalFileName(child, &number, &segment)) {
+      ASSERT_EQ(0, segment);
+      ASSERT_TRUE(Env::Default()
+                      ->RenameFile(dbname + "/" + child,
+                                   LogFileName(dbname, number))
+                      .ok());
+      legacy.push_back(number);
+    }
+  }
+  ASSERT_FALSE(legacy.empty());
+
+  DBOptions options;
+  options.write_buffer_size = 8 << 20;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  std::string value;
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(db->Get(ReadOptions(), KeyOf(i), &value).ok()) << i;
+    EXPECT_EQ(ValueOf(i), value);
+  }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  for (uint64_t number : legacy) {
+    EXPECT_FALSE(Env::Default()->FileExists(LogFileName(dbname, number)))
+        << number;
+  }
+  db.reset();
+  std::filesystem::remove_all(dbname);
+}
 
 TEST(EWalEngineTest, SequencesConsistentAfterParallelReplay) {
   // Writes interleaved with overwrites: parallel out-of-order replay must
@@ -449,11 +471,8 @@ TEST(EWalEngineTest, SequencesConsistentAfterParallelReplay) {
   std::filesystem::remove_all(dbname);
   ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname).ok());
 
-  EWalOptions ew;
-  ew.segments = 4;
-  auto wal = NewEWalManager(Env::Default(), dbname, ew);
   DBOptions options;
-  options.wal_manager = wal.get();
+  options.wal_segments = 4;
   options.write_buffer_size = 32 * 1024 * 1024;
 
   {

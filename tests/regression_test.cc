@@ -13,7 +13,6 @@
 #include "baselines/kvstore.h"
 #include "env/env.h"
 #include "lsm/db_impl.h"
-#include "mash/ewal.h"
 #include "mash/placement.h"
 #include "util/clock.h"
 #include "workload/ycsb.h"
@@ -35,11 +34,8 @@ std::string TestDir(const std::string& name) {
 TEST(L0SequenceAwareness, OverwritesAcrossShardsReadNewest) {
   std::string dbname = TestDir("l0seq");
   ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname).ok());
-  EWalOptions ew;
-  ew.segments = 8;
-  auto wal = NewEWalManager(Env::Default(), dbname, ew);
   DBOptions options;
-  options.wal_manager = wal.get();
+  options.wal_segments = 8;
   options.write_buffer_size = 64 << 20;
 
   {
@@ -91,11 +87,8 @@ TEST(L0SequenceAwareness, OverwritesAcrossShardsReadNewest) {
 TEST(L0SequenceAwareness, DeletesAcrossShards) {
   std::string dbname = TestDir("l0del");
   ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname).ok());
-  EWalOptions ew;
-  ew.segments = 4;
-  auto wal = NewEWalManager(Env::Default(), dbname, ew);
   DBOptions options;
-  options.wal_manager = wal.get();
+  options.wal_segments = 4;
   options.write_buffer_size = 64 << 20;
 
   {
@@ -332,11 +325,8 @@ TEST(YcsbOnMash, WorkloadsAEF) {
 TEST(EWalDurability, SyncedWritesSurviveAcrossSegments) {
   std::string dbname = TestDir("ewal_sync");
   ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname).ok());
-  EWalOptions ew;
-  ew.segments = 4;
-  auto wal = NewEWalManager(Env::Default(), dbname, ew);
   DBOptions options;
-  options.wal_manager = wal.get();
+  options.wal_segments = 4;
   options.write_buffer_size = 8 << 20;
 
   {

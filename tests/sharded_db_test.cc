@@ -15,6 +15,7 @@
 
 #include "baselines/kvstore.h"
 #include "env/env.h"
+#include "lsm/filename.h"
 #include "lsm/shared_resources.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -503,6 +504,62 @@ TEST(ShardedDBTest, ShardsDrawFromOneSharedResources) {
   std::string value;
   ASSERT_TRUE(db->Get(ReadOptions(), KeyOf(3), &value).ok());
   EXPECT_EQ(ValueOf(3, 0), value);
+  db.reset();
+  ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+}
+
+// ---------- Per-shard eWAL ----------
+
+// Each shard's engine builds its own eWAL from base.wal_segments: four
+// segment files of one log in every shard directory, and synced writes
+// survive a crash (no flush, no clean close of the memtables).
+TEST(ShardedDBTest, EachShardOwnsAnEWalOfWalSegments) {
+  const std::string name = TestDir("ewal");
+  std::filesystem::remove_all(name);
+  constexpr int kShards = 2;
+  constexpr uint64_t kKeys = 400;
+
+  DBOptions base = SmallOptions();
+  base.write_buffer_size = 8 << 20;  // Keep every write in the WAL.
+  base.wal_segments = 4;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(ShardedDB::Open(base, name, kShards, &db).ok());
+    WriteOptions sync;
+    sync.sync = true;
+    for (uint64_t i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(db->Put(sync, KeyOf(i), ValueOf(i, 0)).ok());
+    }
+    for (int shard = 0; shard < kShards; shard++) {
+      std::vector<std::string> children;
+      ASSERT_TRUE(Env::Default()
+                      ->GetChildren(name + "/shard-" + std::to_string(shard),
+                                    &children)
+                      .ok());
+      std::set<int> segments;
+      for (const std::string& child : children) {
+        uint64_t number;
+        int segment;
+        if (ParseEWalFileName(child, &number, &segment)) {
+          segments.insert(segment);
+        }
+      }
+      EXPECT_EQ((std::set<int>{0, 1, 2, 3}), segments) << "shard " << shard;
+    }
+    // "Crash": drop the DB without flushing its memtables.
+  }
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(ShardedDB::Open(base, name, kShards, &db).ok());
+  std::string value;
+  uint64_t lost = 0;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    if (!db->Get(ReadOptions(), KeyOf(i), &value).ok() ||
+        value != ValueOf(i, 0)) {
+      lost++;
+    }
+  }
+  EXPECT_EQ(0u, lost);
   db.reset();
   ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
 }

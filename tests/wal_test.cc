@@ -1,5 +1,9 @@
-// Tests for the log format (writer/reader) and the classic WalManager.
+// Tests for the log format (writer/reader) and the WalManager contract.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <mutex>
+#include <utility>
 
 #include "env/env.h"
 #include "lsm/log_reader.h"
@@ -123,41 +127,48 @@ TEST_F(LogTest, TruncatedTailDroppedSilently) {
   EXPECT_EQ(0, reports);  // Torn tail is an expected crash artifact.
 }
 
-// ---------- Classic WalManager ----------
+// ---------- WalManager (the eWAL at one and at four segments) ----------
 
-class ClassicWalTest : public ::testing::Test {
+class WalManagerTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     env_ = NewMemEnv();
-    wal_ = NewClassicWalManager(env_.get(), "/db");
+    EWalOptions options;
+    options.segments = GetParam();
+    wal_ = NewEWalManager(env_.get(), "/db", options);
   }
 
   std::unique_ptr<Env> env_;
   std::unique_ptr<WalManager> wal_;
 };
 
-TEST_F(ClassicWalTest, WriteAndReplay) {
+TEST_P(WalManagerTest, WriteAndReplay) {
   ASSERT_TRUE(wal_->NewLog(5).ok());
   ASSERT_TRUE(wal_->AddRecord("record1", nullptr).ok());
   ASSERT_TRUE(wal_->AddRecord("record2", nullptr).ok());
   ASSERT_TRUE(wal_->Sync(WalPosition::End()).ok());
   ASSERT_TRUE(wal_->CloseLog().ok());
 
-  std::vector<std::string> replayed;
+  // Round-robin: record1 in segment 0, record2 in the next one (segment 0
+  // again with one segment), each replayed on its segment's shard. A
+  // one-segment log replays in write order; shards run concurrently.
+  std::mutex mu;
+  std::vector<std::pair<std::string, int>> replayed;
   ASSERT_TRUE(wal_
                   ->Replay(5,
                            [&](const Slice& record, int shard) {
-                             EXPECT_EQ(0, shard);
-                             replayed.push_back(record.ToString());
+                             std::lock_guard<std::mutex> l(mu);
+                             replayed.emplace_back(record.ToString(), shard);
                              return Status::OK();
                            })
                   .ok());
-  ASSERT_EQ(2u, replayed.size());
-  EXPECT_EQ("record1", replayed[0]);
-  EXPECT_EQ("record2", replayed[1]);
+  if (GetParam() > 1) std::sort(replayed.begin(), replayed.end());
+  const std::vector<std::pair<std::string, int>> expected = {
+      {"record1", 0}, {"record2", GetParam() > 1 ? 1 : 0}};
+  EXPECT_EQ(expected, replayed);
 }
 
-TEST_F(ClassicWalTest, ListAndRemove) {
+TEST_P(WalManagerTest, ListAndRemove) {
   ASSERT_TRUE(wal_->NewLog(3).ok());
   ASSERT_TRUE(wal_->AddRecord("x", nullptr).ok());
   ASSERT_TRUE(wal_->NewLog(7).ok());
@@ -176,11 +187,15 @@ TEST_F(ClassicWalTest, ListAndRemove) {
   EXPECT_EQ(7u, logs[0]);
 }
 
-TEST_F(ClassicWalTest, MaxShardsIsOne) { EXPECT_EQ(1, wal_->MaxShards()); }
+TEST_P(WalManagerTest, MaxShardsIsSegmentCount) {
+  EXPECT_EQ(GetParam(), wal_->MaxShards());
+}
 
-TEST_F(ClassicWalTest, AddRecordWithoutOpenLogFails) {
+TEST_P(WalManagerTest, AddRecordWithoutOpenLogFails) {
   EXPECT_FALSE(wal_->AddRecord("x", nullptr).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Segments, WalManagerTest, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace rocksmash

@@ -26,7 +26,6 @@
 #include "env/env.h"
 #include "lsm/db.h"
 #include "lsm/wal.h"
-#include "mash/ewal.h"
 #include "sync_counting_env.h"
 #include "util/clock.h"
 #include "util/metrics.h"
@@ -291,8 +290,8 @@ TEST(WriteThreadTest, FlushBarrierLeadsItsOwnGroup) {
 
   Env* env = Env::Default();
   ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
-  auto wal =
-      std::make_unique<ControlledSyncWal>(NewClassicWalManager(env, dbname));
+  auto wal = std::make_unique<ControlledSyncWal>(
+      NewEWalManager(env, dbname, EWalOptions{/*segments=*/1}));
   ControlledSyncWal* wal_ptr = wal.get();
 
   auto stats = CreateDBStatistics();
@@ -363,8 +362,8 @@ TEST(WriteThreadTest, SyncFailurePoisonsWrites) {
 
   Env* env = Env::Default();
   ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
-  auto wal =
-      std::make_unique<ControlledSyncWal>(NewClassicWalManager(env, dbname));
+  auto wal = std::make_unique<ControlledSyncWal>(
+      NewEWalManager(env, dbname, EWalOptions{/*segments=*/1}));
   ControlledSyncWal* wal_ptr = wal.get();
 
   DBOptions options;
@@ -477,15 +476,12 @@ TEST(WriteThreadTest, SyncsOverlapAcrossEWalSegments) {
       NewTimedEnv(mem.get(), SystemClock::Default(), device);
   SyncCountingEnv env(timed.get(), "ewal-");
   const std::string dbname = "/overlapped_syncs";
-  EWalOptions ew;
-  ew.segments = 4;
-  std::unique_ptr<WalManager> wal = NewEWalManager(&env, dbname, ew);
 
   auto stats = CreateDBStatistics();
   DBOptions options;
   options.create_if_missing = true;
   options.env = &env;
-  options.wal_manager = wal.get();
+  options.wal_segments = 4;
   options.statistics = stats.get();
 
   std::unique_ptr<DB> db;
@@ -529,8 +525,8 @@ TEST(WriteThreadTest, CloseSurfacesWalSyncFailure) {
 
   Env* env = Env::Default();
   ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
-  auto wal =
-      std::make_unique<ControlledSyncWal>(NewClassicWalManager(env, dbname));
+  auto wal = std::make_unique<ControlledSyncWal>(
+      NewEWalManager(env, dbname, EWalOptions{/*segments=*/1}));
   ControlledSyncWal* wal_ptr = wal.get();
 
   DBOptions options;

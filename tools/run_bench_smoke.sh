@@ -96,6 +96,19 @@ if [ -s BENCH_write.json ]; then
   done
 fi
 
+# Overlapped WAL syncs must engage on a multi-segment eWAL: a synced group
+# hands the write queue on before its sync, so consecutive groups' syncs
+# run side by side. (Overwrites BENCH_write.json again; removed first so a
+# stale report cannot pass the check.)
+rm -f BENCH_write.json
+run_one bench_write --smoke --threads=4 --wal_segments=4
+if [ -s BENCH_write.json ]; then
+  if ! grep -q '"wal.sync.overlapped": [1-9]' BENCH_write.json; then
+    echo "FAIL  bench_write --wal_segments=4: ticker wal.sync.overlapped is zero or missing" >&2
+    fail=1
+  fi
+fi
+
 # The scan engine must actually engage on the cloud-heavy config even at
 # smoke scale: streaming readahead served blocks and prefix seeks skipped
 # filtered-out runs.
