@@ -1,7 +1,8 @@
 // E9 — Scan throughput per scheme at several scan lengths (the range-query
 // figure), plus two scan-engine phases: cold cloud-heavy long-range scans
-// with streaming readahead off vs on (the pre-PR baseline vs the async
-// prefetch pipeline), and prefix-mode scans over overlapping runs showing
+// with streaming readahead off vs on (one GET per block vs the async
+// prefetch pipeline) and with the default ReadBlock window in front of the
+// pipeline, and prefix-mode scans over overlapping runs showing
 // filter-based run skipping.
 //
 //   ./bench_scan [--small|--large|--smoke]
@@ -14,13 +15,13 @@ using namespace rocksmash::bench;
 
 namespace {
 
-// Cold cloud-heavy rig: every SST cloud-resident, no legacy sync readahead
-// window, and a local cache too small to absorb the dataset — each scan
-// pays real range GETs.
-Rig OpenColdCloudRig(const std::string& workdir) {
+// Cold cloud-heavy rig: every SST cloud-resident, a ReadBlock readahead
+// window of `readahead_bytes`, and a local cache too small to absorb the
+// dataset — each scan pays real range GETs.
+Rig OpenColdCloudRig(const std::string& workdir, uint64_t readahead_bytes) {
   SchemeOptions o = DefaultSchemeOptions();
   o.cloud_level_start = 0;
-  o.cloud_readahead_bytes = 0;
+  o.cloud_readahead_bytes = readahead_bytes;
   o.block_cache_bytes = 256 * 1024;
   o.local_cache_bytes = 256 * 1024;
   return OpenRig(workdir, SchemeKind::kRocksMash, o);
@@ -66,16 +67,30 @@ int main(int argc, char** argv) {
               "more rows, so the\ncloud schemes close part of the gap as "
               "length grows; LocalOnly stays the ceiling.\n");
 
-  // ---- Phase 2: cold cloud-heavy long-range scans, readahead off vs on.
-  // "Off" is the pre-streaming baseline (one GET per block); "on" runs the
+  // ---- Phase 2: cold cloud-heavy long-range scans. "readahead_off" is
+  // one GET per block (no window, no streaming); "readahead_on" isolates the
   // async prefetch pipeline (coalesced range GETs overlapped with the
-  // scan). Separate rigs keep both variants cold.
+  // scan); "default_window" puts the default 256 KiB ReadBlock window in
+  // front of the pipeline, the configuration every compaction input and
+  // default scan runs. Separate rigs keep every variant cold.
   std::printf("\nE9b — cold cloud-heavy long-range scans (%llu-row scans)\n",
               (unsigned long long)scale.num_keys);
   const uint64_t long_scans = scale.smoke ? 6 : 20;
-  double ops_off = 0, ops_on = 0;
-  for (int variant = 0; variant < 2; variant++) {
-    Rig rig = OpenColdCloudRig(workdir + "/cold" + std::to_string(variant));
+  struct Variant {
+    const char* name;
+    uint64_t cloud_readahead_bytes;
+    uint64_t scan_readahead_bytes;
+  };
+  const Variant variants[] = {
+      {"readahead_off", 0, 0},
+      {"readahead_on", 0, 1 << 20},
+      {"default_window", SchemeOptions().cloud_readahead_bytes, 1 << 20},
+  };
+  double ops[3] = {0, 0, 0};
+  for (size_t i = 0; i < 3; i++) {
+    const Variant& v = variants[i];
+    Rig rig = OpenColdCloudRig(workdir + "/cold_" + v.name,
+                               v.cloud_readahead_bytes);
     DriverSpec spec;
     spec.num_keys = scale.num_keys;
     spec.value_size = scale.value_size;
@@ -84,20 +99,28 @@ int main(int argc, char** argv) {
     DriverSpec scan_spec = spec;
     scan_spec.scan_length = static_cast<int>(scale.num_keys);
     scan_spec.num_ops = long_scans;
-    scan_spec.scan_readahead_bytes = variant == 0 ? 0 : 1 << 20;
+    scan_spec.scan_readahead_bytes = v.scan_readahead_bytes;
+    const ObjectStore::OpCounters before = rig.cloud->Counters();
     DriverResult r = ScanRandom(rig.store.get(), scan_spec);
-    (variant == 0 ? ops_off : ops_on) = r.throughput_ops_sec;
-    std::printf("  readahead %-4s %10.1f scans/sec  (p99 %.0f us)\n",
-                variant == 0 ? "off" : "on", r.throughput_ops_sec,
-                r.latency_us.Percentile(99));
-    report.AddResult(variant == 0 ? "cold_cloud/readahead_off"
-                                  : "cold_cloud/readahead_on",
-                     r);
+    const ObjectStore::OpCounters after = rig.cloud->Counters();
+    const double gets_per_scan =
+        static_cast<double>(after.gets - before.gets) / long_scans;
+    const double bytes_per_scan =
+        static_cast<double>(after.bytes_downloaded - before.bytes_downloaded) /
+        long_scans;
+    ops[i] = r.throughput_ops_sec;
+    std::printf("  %-15s %10.1f scans/sec  (p99 %.0f us)  %8.1f GETs  "
+                "%10.0f B per scan\n",
+                v.name, r.throughput_ops_sec, r.latency_us.Percentile(99),
+                gets_per_scan, bytes_per_scan);
+    report.AddResult(std::string("cold_cloud/") + v.name, r);
+    report.Metric("cloud_gets_per_scan", gets_per_scan);
+    report.Metric("cloud_get_bytes_per_scan", bytes_per_scan);
   }
-  if (ops_off > 0) {
-    std::printf("  speedup: %.2fx\n", ops_on / ops_off);
+  if (ops[0] > 0) {
+    std::printf("  speedup (on vs off): %.2fx\n", ops[1] / ops[0]);
     report.Row("cold_cloud/summary");
-    report.Metric("readahead_speedup", ops_on / ops_off);
+    report.Metric("readahead_speedup", ops[1] / ops[0]);
   }
 
   // ---- Phase 3: prefix scans over overlapping runs. Two interleaved

@@ -149,7 +149,6 @@ void BlobFileCache::MultiGet(const ReadOptions& options, uint64_t file_number,
   for (size_t i : miss_idx) misses.push_back(reqs[i]);
   BlockBatchOptions batch;
   batch.max_parallel = std::max(1, options.max_cloud_fan_out);
-  batch.readahead_hint = options.readahead_hint;
   entry->reader->MultiGet(misses.data(), misses.size(), batch);
   for (size_t j = 0; j < miss_idx.size(); j++) {
     BlobReadRequest& req = reqs[miss_idx[j]];

@@ -32,7 +32,9 @@ class BlobFileCache {
   BlobFileCache& operator=(const BlobFileCache&) = delete;
 
   // Resolves one blob index: reads the record it points at into *value
-  // (zero-copy: the fetched buffer is moved in).
+  // (zero-copy: the fetched buffer is moved in). A read in file order (the
+  // GC rewrite loop, the DB iterator): a cloud miss fetches a readahead
+  // window. Point reads use a one-record MultiGet instead.
   Status Get(const ReadOptions& options, const BlobIndex& index,
              PinnableSlice* value);
 

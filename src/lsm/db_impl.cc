@@ -1693,7 +1693,13 @@ Status DBImpl::ResolveBlobValue(const ReadOptions& options,
   BlobIndex index;
   Status s = index.DecodeFrom(*value);
   if (!s.ok()) return s;
-  return blob_cache_->Get(options, index, value);
+  // A point read is a batch of one: a cold record costs one exact-size
+  // fetch through BlockSource::ReadBlocks, not a scan's readahead window.
+  BlobReadRequest req;
+  req.index = index;
+  req.value = value;
+  blob_cache_->MultiGet(options, index.file_number, &req, 1);
+  return req.status;
 }
 
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,

@@ -130,6 +130,12 @@ bool MemTable::Get(const LookupKey& key, std::string* value, Status* s) {
         case kTypeDeletion:
           *s = Status::NotFound(Slice());
           return true;
+        case kTypeBlobIndex:
+          // Values are separated at flush, so a memtable never holds a blob
+          // index. Fail closed: falling through would let an older SST
+          // value answer for this key.
+          *s = Status::Corruption("blob index in memtable");
+          return true;
       }
     }
   }

@@ -53,7 +53,8 @@ class MemTable {
 
   // If a value for key (at or before the lookup sequence) exists, sets
   // *value and returns true. If the latest entry is a deletion, sets
-  // *s = NotFound and returns true. Else returns false.
+  // *s = NotFound and returns true; if it is a blob index (never written to
+  // a memtable), sets *s = Corruption and returns true. Else returns false.
   bool Get(const LookupKey& key, std::string* value, Status* s);
 
   bool Empty() const;

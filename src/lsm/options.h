@@ -172,10 +172,6 @@ struct ReadOptions {
 
   // Batched reads (DB::MultiGet).
   //
-  // Hint, in bytes, of how much nearby data the caller expects to touch.
-  // A tiered BlockSource may use it to size its cloud readahead window for
-  // this operation; 0 keeps the storage's configured default.
-  uint64_t readahead_hint = 0;
   // Upper bound on concurrent cloud GETs one table may have in flight while
   // a MultiGet fills its coalesced block misses. The bound is per table
   // call, not per batch: Version::MultiGet visits a level's tables one

@@ -147,7 +147,6 @@ void TableCache::MultiGet(const ReadOptions& options, uint64_t file_number,
       reinterpret_cast<TableAndOwnership*>(cache_->Value(handle))->table.get();
   BlockBatchOptions batch;
   batch.max_parallel = std::max(1, options.max_cloud_fan_out);
-  batch.readahead_hint = options.readahead_hint;
   t->MultiGet(reqs, n, batch);
   cache_->Release(handle);
 }

@@ -112,6 +112,20 @@ bool PersistentCache::HasBlock(uint64_t sst, uint64_t offset) {
   return it != ssts_.end() && it->second.blocks.count(offset) > 0;
 }
 
+uint64_t PersistentCache::CachedRunStart(uint64_t sst, uint64_t end) {
+  MutexLock l(&mu_);
+  auto sit = ssts_.find(sst);
+  if (sit == ssts_.end()) return end;
+  const std::map<uint64_t, BlockLoc>& blocks = sit->second.blocks;
+  uint64_t start = end;
+  for (auto it = blocks.lower_bound(end); it != blocks.begin();) {
+    --it;
+    if (it->first + it->second.len < start) break;  // a gap before `start`
+    start = it->first;
+  }
+  return start;
+}
+
 void PersistentCache::PutBlock(uint64_t sst, uint64_t offset,
                                const Slice& raw) {
   if (raw.size() > options_.capacity_bytes) return;

@@ -115,6 +115,11 @@ class PersistentCache {
   // the scan readahead path to avoid re-fetching locally cached ranges.
   bool HasBlock(uint64_t sst, uint64_t offset);
 
+  // Index-only: where the run of back-to-back cached blocks that reaches
+  // byte `end` - 1 starts, or `end` when the block holding that byte is not
+  // cached. Lets a cloud readahead window leave out a cached run at its end.
+  uint64_t CachedRunStart(uint64_t sst, uint64_t end);
+
   // Insert after a cloud fetch. May trigger eviction (and GC in kGlobalLog);
   // fires OnCacheEviction listeners (outside mu_) when bytes were reclaimed.
   void PutBlock(uint64_t sst, uint64_t offset, const Slice& raw);

@@ -21,7 +21,10 @@ namespace {
 
 // BlockSource for a cloud-resident SST: metadata reads are served from the
 // packed local metadata region; data reads consult the persistent cache and
-// fall back to cloud range GETs (admitting the fetched block).
+// the source's segment list, then fall back to cloud range GETs (admitting
+// the fetched block). Every byte a GET brings back beyond the block asked
+// for (a ReadBlock window, a multi-block ReadBlocks group, a Prefetch range)
+// lands in that one list.
 class CloudBlockSource final : public BlockSource {
  public:
   CloudBlockSource(TieredTableStorage* storage, ObjectStore* store,
@@ -41,17 +44,16 @@ class CloudBlockSource final : public BlockSource {
         heat_(std::move(heat)),
         pin_check_every_(pin_check_every),
         statistics_(statistics),
-        prefetch_cv_(&prefetch_mu_) {}
+        segments_cv_(&segments_mu_) {}
 
   ~CloudBlockSource() override {
     // Drain in-flight prefetch jobs: they capture `this` for CloudGet and
-    // the stats sink, so the source must outlive them.
-    MutexLock l(&prefetch_mu_);
-    while (prefetch_inflight_ > 0) prefetch_cv_.Wait();
-    for (auto& seg : prefetch_segments_) {
-      if (!seg->status.ok()) {
-        // Unconsumed failed prefetch; nothing depended on it.
-      }
+    // the stats sink, so the source must outlive them. Segments in flight
+    // are never evicted, so the list still holds every one of them.
+    MutexLock l(&segments_mu_);
+    while (std::any_of(segments_.begin(), segments_.end(),
+                       [](const auto& seg) { return !seg->done; })) {
+      segments_cv_.Wait();
     }
   }
 
@@ -59,39 +61,39 @@ class CloudBlockSource final : public BlockSource {
                    BlockContents* result) override {
     NoteAccesses(1);
     Status s;
-    if (ServeLocal(handle, kind, result, &s)) return s;
+    if (ServeLocal(handle, kind, /*scan=*/true, result, &s)) return s;
     const size_t n = static_cast<size_t>(handle.size()) + kBlockTrailerSize;
-    std::string raw;
+    uint64_t want = n;
     if (kind == BlockKind::kData && readahead_bytes_ > n) {
       // Iterator (scan-intent) miss: table iterators and compaction inputs
-      // read blocks in order, so fetch one window and serve the following
-      // blocks from the buffer, paying the per-request latency once per
-      // window. Table point lookups never come here: they go through
-      // ReadBlocks and fetch exactly the block. Do not read past the data
-      // region.
-      uint64_t want = readahead_bytes_;
+      // read blocks in order, so fetch one window and keep it as a segment
+      // that serves the following blocks, paying the per-request latency
+      // once per window. Table point lookups never come here: they go
+      // through ReadBlocks and fetch exactly the block. Do not read past
+      // the data region.
+      want = readahead_bytes_;
       if (handle.offset() < metadata_offset_ &&
           handle.offset() + want > metadata_offset_) {
         want = std::max<uint64_t>(n, metadata_offset_ - handle.offset());
       }
-      std::string window;
-      s = CloudGet(handle.offset(), want, &window);
-      if (!s.ok()) return s;
-      if (window.size() < n) {
-        return Status::Corruption("short cloud read", key_);
-      }
-      raw = window.substr(0, n);
-      MutexLock l(&readahead_mu_);
-      readahead_offset_ = handle.offset();
-      readahead_buffer_ = std::move(window);
-    } else {
-      s = CloudGet(handle.offset(), n, &raw);
-      if (!s.ok()) return s;
-      if (raw.size() != n) {
-        return Status::Corruption("short cloud read", key_);
+      // Nor download again a run of blocks the persistent cache holds at
+      // the window's end (a scan that starts before an earlier one).
+      if (pcache_ != nullptr) {
+        const uint64_t cached = pcache_->CachedRunStart(
+            pcache_number_, handle.offset() + want);
+        want = std::max<uint64_t>(
+            n, cached > handle.offset() ? cached - handle.offset() : 0);
       }
     }
-    return AdmitFetched(handle, kind, Slice(raw), result);
+    std::string buf;
+    s = CloudGet(handle.offset(), want, &buf);
+    if (!s.ok()) return s;
+    if (buf.size() < n) {
+      return Status::Corruption("short cloud read", key_);
+    }
+    s = AdmitFetched(handle, kind, Slice(buf.data(), n), result);
+    if (buf.size() > n) InsertDone(handle.offset(), std::move(buf));
+    return s;
   }
 
   // Batched entry point (MultiGet, and point Gets as one-key batches): serve
@@ -105,7 +107,8 @@ class CloudBlockSource final : public BlockSource {
     std::vector<size_t> misses;
     for (size_t i = 0; i < n; i++) {
       BlockFetchRequest* r = &requests[i];
-      if (!ServeLocal(r->handle, r->kind, &r->contents, &r->status)) {
+      if (!ServeLocal(r->handle, r->kind, /*scan=*/false, &r->contents,
+                      &r->status)) {
         misses.push_back(i);
       }
     }
@@ -113,8 +116,8 @@ class CloudBlockSource final : public BlockSource {
 
     // Coalesce adjacent misses: one range GET per run of blocks that fits a
     // readahead window, so nearby keys in a batch pay the per-request cloud
-    // latency once. A lone miss, or window 0 (readahead disabled, no hint),
-    // fetches exactly its block.
+    // latency once. A lone miss, or window 0 (readahead disabled), fetches
+    // exactly its block.
     std::sort(misses.begin(), misses.end(), [&](size_t a, size_t b) {
       return requests[a].handle.offset() < requests[b].handle.offset();
     });
@@ -123,13 +126,11 @@ class CloudBlockSource final : public BlockSource {
       uint64_t length = 0;
       std::vector<size_t> members;
     };
-    const uint64_t window =
-        opts.readahead_hint > 0 ? opts.readahead_hint : readahead_bytes_;
     std::vector<FetchGroup> groups;
     for (size_t idx : misses) {
       const BlockHandle& h = requests[idx].handle;
       const uint64_t end = h.offset() + h.size() + kBlockTrailerSize;
-      if (!groups.empty() && end - groups.back().offset <= window) {
+      if (!groups.empty() && end - groups.back().offset <= readahead_bytes_) {
         FetchGroup& g = groups.back();
         g.length = end - g.offset;
         g.members.push_back(idx);
@@ -164,12 +165,8 @@ class CloudBlockSource final : public BlockSource {
       }
       // A multi-block group is a readahead window in all but name: keep it,
       // so later batches and iterators hit it instead of re-fetching the
-      // same range.
-      if (s.ok() && readahead_bytes_ > 0 && g.members.size() > 1) {
-        MutexLock l(&readahead_mu_);
-        readahead_offset_ = g.offset;
-        readahead_buffer_ = std::move(buf);
-      }
+      // blocks between the requested ones.
+      if (s.ok() && g.members.size() > 1) InsertDone(g.offset, std::move(buf));
     };
 
     if (pool == nullptr || max_parallel == 1 || groups.size() == 1) {
@@ -222,13 +219,12 @@ class CloudBlockSource final : public BlockSource {
   // Scan readahead: fetch [first handle, last handle] as one async range GET
   // on the shared fetch pool. Must not block on the network — the point is
   // that the GET overlaps with the scan consuming the previous blocks.
-  void Prefetch(const BlockHandle* handles, size_t n,
-                const BlockBatchOptions& opts) override {
-    (void)opts;
-    if (n == 0) return;
-    // Trim handles already in the persistent cache from both ends (cheap
-    // index probes): a warm re-scan issues nothing, a partially warm window
-    // fetches only the cold contiguous span.
+  void Prefetch(const BlockHandle* handles, size_t n) override {
+    // Trim handles already in the persistent cache (cheap index probes),
+    // then handles wholly inside a segment, from both ends: a warm re-scan
+    // issues nothing, a partially warm window fetches only the cold
+    // contiguous span, and a window that ends mid-block overlaps the new
+    // segment by that one block.
     size_t first = 0;
     size_t last = n;
     if (pcache_ != nullptr) {
@@ -241,89 +237,89 @@ class CloudBlockSource final : public BlockSource {
         last--;
       }
     }
-    if (first == last) return;
-    uint64_t begin = handles[first].offset();
-    uint64_t end = handles[last - 1].offset() + handles[last - 1].size() +
-                   kBlockTrailerSize;
-    // Never prefetch into the metadata region (it is local anyway).
-    end = std::min(end, metadata_offset_);
-    if (begin >= end) return;
-    std::shared_ptr<PrefetchSegment> seg;
+    std::shared_ptr<Segment> seg;
     {
-      MutexLock l(&prefetch_mu_);
-      // Evict completed segments disjoint from the requested window: they
-      // were fetched for a scan position since abandoned (re-seek, new
-      // iterator) and would otherwise pin the segment cap forever.
-      for (size_t i = 0; i < prefetch_segments_.size();) {
-        PrefetchSegment* s = prefetch_segments_[i].get();
-        const uint64_t s_end = s->offset + s->length;
-        if (s->done && (s_end <= begin || s->offset >= end)) {
-          if (!s->status.ok()) {
-            // Stale failed fetch nobody consumed; the error is moot.
-          }
-          prefetch_segments_.erase(prefetch_segments_.begin() + i);
-          continue;
-        }
-        i++;
+      MutexLock l(&segments_mu_);
+      while (first < last && FindCoverLocked(handles[first]) != nullptr) {
+        first++;
       }
-      if (prefetch_segments_.size() >= kMaxPrefetchSegments) return;
-      // Skip the prefix already covered by queued/completed segments so
-      // overlapping windows (half-window refills) don't re-fetch bytes.
-      for (const auto& existing : prefetch_segments_) {
-        const uint64_t seg_end = existing->offset + existing->length;
-        if (existing->offset <= begin && begin < seg_end) {
-          begin = seg_end;
-        }
+      while (first < last && FindCoverLocked(handles[last - 1]) != nullptr) {
+        last--;
       }
-      if (begin >= end) return;
-      seg = std::make_shared<PrefetchSegment>();
+      if (first == last) return;
+      const uint64_t begin = handles[first].offset();
+      // Never prefetch into the metadata region (it is local anyway).
+      const uint64_t end =
+          std::min(handles[last - 1].offset() + handles[last - 1].size() +
+                       kBlockTrailerSize,
+                   metadata_offset_);
+      if (begin >= end || !MakeRoomLocked()) return;
+      seg = std::make_shared<Segment>();
       seg->offset = begin;
       seg->length = end - begin;
-      for (size_t i = first; i < last; i++) {
-        const uint64_t off = handles[i].offset();
-        const size_t len = handles[i].size() + kBlockTrailerSize;
-        if (off >= begin && off + len <= end) seg->blocks.emplace_back(off, len);
-      }
-      prefetch_segments_.push_back(seg);
-      prefetch_inflight_++;
+      seg->prefetched = true;
+      segments_.push_back(seg);
+    }
+    // (offset, raw length incl. trailer) of each block in the segment, so
+    // the fetch job can admit them to the persistent cache individually.
+    std::vector<std::pair<uint64_t, size_t>> blocks;
+    for (size_t i = first; i < last; i++) {
+      const uint64_t off = handles[i].offset();
+      const size_t len = handles[i].size() + kBlockTrailerSize;
+      if (off + len <= seg->offset + seg->length) blocks.emplace_back(off, len);
     }
     RecordTick(statistics_, SCAN_READAHEAD_ISSUED);
-    RecordTick(statistics_, SCAN_READAHEAD_BYTES, end - begin);
+    RecordTick(statistics_, SCAN_READAHEAD_BYTES, seg->length);
     ThreadPool* pool = storage_->read_fetch_pool();
     const bool scheduled =
-        pool != nullptr && pool->Schedule([this, seg] {
+        pool != nullptr && pool->Schedule([this, seg, blocks] {
           std::string buf;
           Status s = CloudGet(seg->offset, seg->length, &buf);
-          if (s.ok() && buf.size() >= seg->length && pcache_ != nullptr) {
+          if (!s.ok() || buf.size() < seg->length) {
+            // A failed segment covers nothing: its readers fetch the block
+            // themselves, which surfaces any real error.
+            buf.clear();
+          } else if (pcache_ != nullptr) {
             // Admit every prefetched block to the persistent cache now, not
             // just the ones the scan consumes: bytes fetched past the point
             // where a scan stops become local, so a later scan of the same
             // range trims them instead of re-fetching from the cloud.
-            for (const auto& b : seg->blocks) {
+            for (const auto& b : blocks) {
               pcache_->PutBlock(pcache_number_, b.first,
                                 Slice(buf.data() + (b.first - seg->offset),
                                       b.second));
             }
           }
-          MutexLock l(&prefetch_mu_);
-          seg->status = std::move(s);
+          MutexLock l(&segments_mu_);
           seg->buffer = std::move(buf);
           seg->done = true;
-          prefetch_inflight_--;
-          prefetch_cv_.NotifyAll();
+          segments_cv_.NotifyAll();
         });
     if (!scheduled) {
       // No pool (local-only config) or pool shutting down: resolve the
-      // segment so no reader blocks on it forever.
-      MutexLock l(&prefetch_mu_);
-      seg->status = Status::Unavailable("prefetch pool unavailable");
+      // segment as failed so no reader blocks on it forever.
+      MutexLock l(&segments_mu_);
       seg->done = true;
-      prefetch_inflight_--;
-      prefetch_cv_.NotifyAll();
+      segments_cv_.NotifyAll();
     }
   }
 
  private:
+  // One buffered byte range of the file. Shared so a reader can wait on it
+  // after the lock is dropped and after other threads may have erased it
+  // from the list. Once `done`, a segment never changes, so its buffer may
+  // be read without the lock.
+  struct Segment {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    // Filled by Prefetch (the scan pipeline), else by a ReadBlock window or
+    // a ReadBlocks group; picks the hit ticker.
+    bool prefetched = false;
+    bool done = false;
+    // Empty once done iff the fetch failed.
+    std::string buffer;
+  };
+
   // Heat tracking without the storage mutex: bump the shared counter and
   // run the (locking) promotion check once per pin_check_every_ accesses.
   void NoteAccesses(uint64_t n) {
@@ -336,11 +332,13 @@ class CloudBlockSource final : public BlockSource {
   }
 
   // Serves one block without a cloud GET: metadata from the packed local
-  // region; data from the persistent cache, a streaming prefetch segment
-  // (waiting for the in-flight GET that covers it, which overlaps with the
-  // scan consuming earlier blocks) or the readahead buffer. Returns false,
-  // leaving *s alone, when the block needs a cloud fetch.
-  bool ServeLocal(const BlockHandle& handle, BlockKind kind,
+  // region; data from the persistent cache or a segment (waiting for the
+  // in-flight GET that covers it, which overlaps with the scan consuming
+  // earlier blocks). A scan-intent read (`scan`) also drops the done
+  // segments wholly behind it: a forward scan consumed them, or they belong
+  // to a position it abandoned. Returns false, leaving *s alone, when the
+  // block needs a cloud fetch.
+  bool ServeLocal(const BlockHandle& handle, BlockKind kind, bool scan,
                   BlockContents* result, Status* s) {
     const size_t n = static_cast<size_t>(handle.size()) + kBlockTrailerSize;
     std::string raw;
@@ -361,22 +359,42 @@ class CloudBlockSource final : public BlockSource {
       *s = VerifyAndStripTrailer(Slice(raw), handle, result);
       return true;
     }
-    if (ServeFromPrefetch(handle.offset(), n, &raw)) {
+    std::shared_ptr<Segment> cover;
+    {
+      MutexLock l(&segments_mu_);
+      if (scan) {
+        const uint64_t offset = handle.offset();
+        auto behind = [offset](const std::shared_ptr<Segment>& seg) {
+          return seg->done && seg->offset + seg->length <= offset;
+        };
+        segments_.erase(
+            std::remove_if(segments_.begin(), segments_.end(), behind),
+            segments_.end());
+      }
+      cover = FindCoverLocked(handle);
+      if (cover == nullptr) return false;
+      // Wait on the copied shared_ptr: other threads may mutate the list
+      // while the lock is released inside Wait().
+      while (!cover->done) segments_cv_.Wait();
+    }
+    if (cover->buffer.empty()) return false;
+    if (cover->prefetched) {
       RecordTick(statistics_, SCAN_READAHEAD_HITS);
       PerfCount(&PerfContext::scan_prefetch_hit_count);
-    } else if (ServeFromReadahead(handle.offset(), n, &raw)) {
+    } else {
       RecordTick(statistics_, CLOUD_READAHEAD_HIT);
       PerfCount(&PerfContext::readahead_hit_count);
-    } else {
-      return false;
     }
-    *s = AdmitFetched(handle, kind, Slice(raw), result);
+    *s = AdmitFetched(
+        handle, kind,
+        Slice(cover->buffer.data() + (handle.offset() - cover->offset), n),
+        result);
     return true;
   }
 
   // A block whose bytes came from the cloud (by a GET just now, or through
-  // a prefetch segment or the readahead buffer): data blocks are counted and
-  // admitted to the persistent cache; every block is verified.
+  // a segment): data blocks are counted and admitted to the persistent
+  // cache; every block is verified.
   Status AdmitFetched(const BlockHandle& handle, BlockKind kind,
                       const Slice& raw, BlockContents* result) {
     if (kind == BlockKind::kData) {
@@ -405,65 +423,42 @@ class CloudBlockSource final : public BlockSource {
     return s;
   }
 
-  bool ServeFromReadahead(uint64_t offset, size_t n, std::string* raw) {
-    MutexLock l(&readahead_mu_);
-    if (readahead_buffer_.empty() || offset < readahead_offset_ ||
-        offset + n > readahead_offset_ + readahead_buffer_.size()) {
-      return false;
+  // The segment holding the block and its trailer, done or in flight; a
+  // failed segment holds nothing.
+  std::shared_ptr<Segment> FindCoverLocked(const BlockHandle& handle)
+      EXCLUSIVE_LOCKS_REQUIRED(segments_mu_) {
+    const uint64_t offset = handle.offset();
+    const uint64_t n = handle.size() + kBlockTrailerSize;
+    for (const auto& seg : segments_) {
+      if (seg->offset <= offset && offset + n <= seg->offset + seg->length &&
+          !(seg->done && seg->buffer.empty())) {
+        return seg;
+      }
     }
-    raw->assign(readahead_buffer_.data() + (offset - readahead_offset_), n);
+    return nullptr;
+  }
+
+  // At the cap, the oldest done segment goes; a segment in flight is never
+  // evicted. False when every slot is in flight.
+  bool MakeRoomLocked() EXCLUSIVE_LOCKS_REQUIRED(segments_mu_) {
+    if (segments_.size() < kMaxSegments) return true;
+    auto oldest_done = std::find_if(segments_.begin(), segments_.end(),
+                                    [](const auto& seg) { return seg->done; });
+    if (oldest_done == segments_.end()) return false;
+    segments_.erase(oldest_done);
     return true;
   }
 
-  // One async prefetched range. Shared so a reader can wait on it after the
-  // lock is dropped and after other threads may have erased it from the list.
-  struct PrefetchSegment {
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    // (offset, raw length incl. trailer) of each block in the segment, so
-    // the fetch job can admit them to the persistent cache individually.
-    std::vector<std::pair<uint64_t, size_t>> blocks;
-    bool done = false;
-    Status status;
-    std::string buffer;
-  };
-
-  // Serve a block from a prefetched segment, waiting for the covering fetch
-  // if it is still in flight. Consumed segments (fully behind the read
-  // offset) are dropped, which is what bounds the list: a forward scan reads
-  // segments in offset order.
-  bool ServeFromPrefetch(uint64_t offset, size_t n, std::string* raw) {
-    std::shared_ptr<PrefetchSegment> cover;
-    {
-      MutexLock l(&prefetch_mu_);
-      for (size_t i = 0; i < prefetch_segments_.size();) {
-        PrefetchSegment* seg = prefetch_segments_[i].get();
-        if (seg->done && seg->offset + seg->length <= offset) {
-          // Fully consumed (or stale after a re-seek). Observe the status
-          // before dropping so a failed fetch nobody read doesn't abort
-          // checked-status builds.
-          if (!seg->status.ok()) {
-            // The scan moved past it; the error is moot.
-          }
-          prefetch_segments_.erase(prefetch_segments_.begin() + i);
-          continue;
-        }
-        if (seg->offset <= offset && offset + n <= seg->offset + seg->length) {
-          cover = prefetch_segments_[i];
-        }
-        i++;
-      }
-      if (cover == nullptr) return false;
-      // Wait on the copied shared_ptr: other threads may mutate the vector
-      // while the lock is released inside Wait().
-      while (!cover->done) prefetch_cv_.Wait();
-      if (!cover->status.ok() || cover->buffer.size() < cover->length) {
-        // Fall through to the sync path, which will surface any real error.
-        return false;
-      }
-      raw->assign(cover->buffer.data() + (offset - cover->offset), n);
-    }
-    return true;
+  // Keeps the bytes a GET just brought back as a done segment, unless every
+  // slot holds a segment in flight.
+  void InsertDone(uint64_t offset, std::string buffer) {
+    auto seg = std::make_shared<Segment>();
+    seg->offset = offset;
+    seg->length = buffer.size();
+    seg->done = true;
+    seg->buffer = std::move(buffer);
+    MutexLock l(&segments_mu_);
+    if (MakeRoomLocked()) segments_.push_back(std::move(seg));
   }
 
   TieredTableStorage* storage_;
@@ -480,21 +475,15 @@ class CloudBlockSource final : public BlockSource {
   uint64_t pin_check_every_;
   Statistics* statistics_;
 
-  // Lock order: leaf. Per-source readahead window; held only to copy a
-  // block out or to swap in a window already fetched, never across a cloud
-  // GET or while taking another lock.
-  Mutex readahead_mu_;
-  uint64_t readahead_offset_ GUARDED_BY(readahead_mu_) = 0;
-  std::string readahead_buffer_ GUARDED_BY(readahead_mu_);
-
-  static constexpr size_t kMaxPrefetchSegments = 4;
-  // Lock order: leaf. Guards the streaming scan prefetch segments; jobs
-  // take no other locks under it, and Schedule() is always called outside.
-  Mutex prefetch_mu_;
-  CondVar prefetch_cv_;
-  std::vector<std::shared_ptr<PrefetchSegment>> prefetch_segments_
-      GUARDED_BY(prefetch_mu_);
-  int prefetch_inflight_ GUARDED_BY(prefetch_mu_) = 0;
+  // Each segment holds at most max(readahead_bytes_, the scan's prefetch
+  // budget), so this caps the bytes a source buffers.
+  static constexpr size_t kMaxSegments = 4;
+  // Lock order: leaf. Guards the segment list, oldest first; held only to
+  // look up, insert or evict segments, never across a cloud GET, and
+  // Schedule() is always called outside it.
+  Mutex segments_mu_;
+  CondVar segments_cv_;
+  std::vector<std::shared_ptr<Segment>> segments_ GUARDED_BY(segments_mu_);
 };
 
 // Local file source that also feeds the heat tracker (pinned files count as

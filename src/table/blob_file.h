@@ -79,7 +79,8 @@ class BlobFileReader {
   BlobFileReader& operator=(const BlobFileReader&) = delete;
 
   // Reads the record at `index`, verifies its crc, decompresses if needed,
-  // and moves the bytes into *value.
+  // and moves the bytes into *value. Goes through BlockSource::ReadBlock,
+  // the scan-intent path: a cloud miss fetches a readahead window.
   Status Get(const BlobIndex& index, PinnableSlice* value);
 
   // Batched read: all records go to BlockSource::ReadBlocks in one call, so

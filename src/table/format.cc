@@ -108,8 +108,7 @@ void BlockSource::ReadBlocks(BlockFetchRequest* requests, size_t n,
   }
 }
 
-void BlockSource::Prefetch(const BlockHandle* /*handles*/, size_t /*n*/,
-                           const BlockBatchOptions& /*opts*/) {
+void BlockSource::Prefetch(const BlockHandle* /*handles*/, size_t /*n*/) {
   // Local sources pay no per-block latency worth hiding.
 }
 

@@ -92,9 +92,6 @@ struct BlockBatchOptions {
   // Upper bound on fetches a source may have in flight for this batch
   // (values < 1 mean 1, i.e. serial).
   int max_parallel = 8;
-  // Coalescing/readahead window override in bytes; 0 keeps the source's
-  // configured default.
-  uint64_t readahead_hint = 0;
 };
 
 // BlockSource: where the reader obtains raw block bytes. The plain
@@ -121,8 +118,7 @@ class BlockSource {
   // (local files are already fast); the cloud source overrides it to issue
   // coalesced range-GETs on its background pool. Must not block on the
   // fetched data.
-  virtual void Prefetch(const BlockHandle* handles, size_t n,
-                        const BlockBatchOptions& opts);
+  virtual void Prefetch(const BlockHandle* handles, size_t n);
 };
 
 // Reads blocks from a RandomAccessFile (local file or CloudEnv file).

@@ -362,9 +362,7 @@ class TwoLevelIterator final : public Iterator {
     }
     prefetch_horizon_ = std::max(prefetch_horizon_, horizon);
     if (handles.empty()) return;
-    BlockBatchOptions bopts;
-    bopts.readahead_hint = iopts_.scan_readahead_bytes;
-    table_->PrefetchBlocks(handles.data(), handles.size(), bopts);
+    table_->PrefetchBlocks(handles.data(), handles.size());
   }
 
   std::unique_ptr<Iterator> index_iter_;
@@ -432,8 +430,7 @@ bool Table::PrefixRuledOut(Iterator* index_iter, const Slice& target) const {
   return ruled_out;
 }
 
-void Table::PrefetchBlocks(const BlockHandle* handles, size_t n,
-                           const BlockBatchOptions& opts) const {
+void Table::PrefetchBlocks(const BlockHandle* handles, size_t n) const {
   Rep* r = rep_.get();
   // Trim handles already resident in the RAM block cache from both ends of
   // the batch, keeping the remainder contiguous so the source can still
@@ -459,7 +456,7 @@ void Table::PrefetchBlocks(const BlockHandle* handles, size_t n,
     }
   }
   if (n == 0) return;
-  r->source->Prefetch(handles, n, opts);
+  r->source->Prefetch(handles, n);
 }
 
 Status Table::InternalGet(const Slice& key, void* arg,

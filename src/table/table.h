@@ -96,8 +96,7 @@ class Table {
 
   // Forwards a streaming-scan hint to the BlockSource (see
   // BlockSource::Prefetch).
-  void PrefetchBlocks(const BlockHandle* handles, size_t n,
-                      const BlockBatchOptions& opts) const;
+  void PrefetchBlocks(const BlockHandle* handles, size_t n) const;
 
  private:
   struct Rep;

@@ -16,6 +16,7 @@
 #include "env/env.h"
 #include "lsm/db.h"
 #include "mash/placement.h"
+#include "table/format.h"
 #include "util/clock.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -360,6 +361,53 @@ TEST_F(BlobTest, GcRacesReadsUnderChurn) {
   reader.join();
   scanner.join();
   EXPECT_EQ(0, read_errors.load());
+}
+
+// A user Get of a separated value is a point read: a cold record on a cloud
+// blob file costs one GET of exactly the record and its trailer, not the
+// storage's readahead window.
+TEST_F(BlobTest, ColdCloudBlobGetFetchesExactlyOneRecord) {
+  const std::string dir = ::testing::TempDir() + "/rocksmash_blob_point_" +
+                          std::to_string(reinterpret_cast<uintptr_t>(this));
+  std::filesystem::remove_all(dir);
+  SimClock clock;
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  auto cloud = NewMemObjectStore(&clock, model);
+  TieredStorageOptions ts;
+  ts.local_dir = dir;
+  ts.cloud = cloud.get();
+  ts.cloud_level_start = 0;  // SSTs and blob files both live in the cloud.
+  ASSERT_EQ(256u * 1024, ts.cloud_readahead_bytes);
+  auto storage = std::make_unique<TieredTableStorage>(ts);
+  options_.table_storage = storage.get();
+  options_.blob.blob_compression = false;  // Record size == value size.
+  options_.blob.blob_file_size = 1 << 20;   // One blob file.
+  ASSERT_TRUE(DB::Open(options_, dir, &db_).ok());
+  const size_t kValueSize = 2000;
+  for (int i = 0; i < 20; i++) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%03d", i);
+    ASSERT_TRUE(Put(key, MakeValue(key, 0, kValueSize)).ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_EQ(1u, Ticker(BLOB_FILES_CREATED));
+  ASSERT_EQ(0u, storage->GetStats().local_files);
+
+  // The first Get also reads the SST's data block, which then stays in the
+  // block cache; key005's lookup pays for its blob record alone.
+  ASSERT_EQ(MakeValue("key000", 0, kValueSize), Get("key000"));
+  const ObjectStore::OpCounters before = cloud->Counters();
+  ASSERT_EQ(MakeValue("key005", 0, kValueSize), Get("key005"));
+  const ObjectStore::OpCounters after = cloud->Counters();
+  EXPECT_EQ(1u, after.gets - before.gets);
+  EXPECT_EQ(kValueSize + kBlockTrailerSize,
+            after.bytes_downloaded - before.bytes_downloaded);
+
+  db_.reset();
+  storage.reset();
+  options_.table_storage = nullptr;
+  std::filesystem::remove_all(dir);
 }
 
 // Blob files tier to the cloud like SSTs. Park their uploads with a cloud

@@ -534,7 +534,8 @@ TEST(ConcurrencyStressTest, ScansRaceFlushCompactionAndPrefetch) {
 // batches and streaming forward scans (ReadBlock's readahead window plus
 // async Prefetch segments) share one CloudBlockSource per table, with a RAM
 // block cache and persistent cache small enough that every path keeps
-// reaching the cloud and the shared readahead buffer. The tree is fixed, so
+// reaching the cloud and the source's one segment list, which all three
+// fill. The tree is fixed, so
 // the model is exact: every loaded key reads back its canonical value, keys
 // past the loaded range are NotFound, and a scan from key i visits i, i+1,
 // ... with no gap.

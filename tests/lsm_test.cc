@@ -190,6 +190,22 @@ TEST(MemTableTest, DeletionVisible) {
   mem->Unref();
 }
 
+// A blob index in a memtable fails closed: the lookup stops with Corruption
+// instead of falling through to an older (SST) version of the key.
+TEST(MemTableTest, BlobIndexFailsClosed) {
+  InternalKeyComparator icmp(BytewiseComparator::Instance());
+  MemTable* mem = new MemTable(icmp);
+  mem->Ref();
+  mem->Add(1, kTypeValue, "k", "v");
+  mem->Add(2, kTypeBlobIndex, "k", "not-a-value");
+  std::string value;
+  Status s;
+  EXPECT_TRUE(mem->Get(LookupKey("k", 5), &value, &s));
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(value.empty());
+  mem->Unref();
+}
+
 TEST(MemTableTest, IteratorYieldsInternalOrder) {
   InternalKeyComparator icmp(BytewiseComparator::Instance());
   MemTable* mem = new MemTable(icmp);

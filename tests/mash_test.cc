@@ -151,6 +151,18 @@ TEST_P(PersistentCacheLayouts, DistinctOffsetsDistinctBlocks) {
   EXPECT_EQ("other-sst", scratch_);
 }
 
+TEST_P(PersistentCacheLayouts, CachedRunStartWalksBackToBackBlocks) {
+  cache_->PutBlock(1, 100, std::string(10, 'a'));  // [100, 110)
+  cache_->PutBlock(1, 110, std::string(10, 'b'));  // [110, 120)
+  cache_->PutBlock(1, 130, std::string(10, 'c'));  // [130, 140)
+  EXPECT_EQ(100u, cache_->CachedRunStart(1, 120));
+  EXPECT_EQ(100u, cache_->CachedRunStart(1, 115));  // Ends mid-block.
+  EXPECT_EQ(130u, cache_->CachedRunStart(1, 140));  // Gap at [120, 130).
+  EXPECT_EQ(125u, cache_->CachedRunStart(1, 125));  // Byte 124 not cached.
+  EXPECT_EQ(200u, cache_->CachedRunStart(1, 200));
+  EXPECT_EQ(50u, cache_->CachedRunStart(2, 50));    // Unknown SST.
+}
+
 TEST_P(PersistentCacheLayouts, DuplicatePutIgnored) {
   cache_->PutBlock(1, 0, "first");
   cache_->PutBlock(1, 0, "second");

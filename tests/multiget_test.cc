@@ -258,10 +258,10 @@ TEST_F(MultiGetTest, ParallelCloudFetches) {
   }
 }
 
-// The readahead_hint widens the coalescing window: with the whole file in
+// cloud_readahead_bytes is the coalescing window: with the whole file in
 // one window, a spread batch costs a single range GET.
-TEST_F(MultiGetTest, ReadaheadHintCoalescesRangeGets) {
-  Open(0, /*readahead_bytes=*/1024);
+TEST_F(MultiGetTest, ReadaheadWindowCoalescesRangeGets) {
+  Open(0, /*readahead_bytes=*/4 << 20);  // Whole file fits one window.
   WriteOptions wo;
   for (uint64_t i = 0; i < 200; i++) {
     ASSERT_TRUE(db_->Put(wo, Key(i), Value(i, 0)).ok());
@@ -276,7 +276,6 @@ TEST_F(MultiGetTest, ReadaheadHintCoalescesRangeGets) {
   std::vector<Status> statuses;
 
   ReadOptions ro;
-  ro.readahead_hint = 4 << 20;  // Whole file fits one window.
   const uint64_t gets_before = cloud_->Counters().gets;
   db_->MultiGet(ro, keys, &values, &statuses);
   for (size_t i = 0; i < keys.size(); i++) {

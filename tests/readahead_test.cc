@@ -12,6 +12,7 @@
 #include "table/table.h"
 #include "table/table_builder.h"
 #include "util/clock.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace rocksmash {
@@ -53,7 +54,8 @@ class ReadaheadTest : public ::testing::Test {
     ASSERT_TRUE(storage->Install(number, 3, size_, metadata_offset_).ok());
   }
 
-  uint64_t ScanAndCountGets(TieredTableStorage* storage, uint64_t number) {
+  std::unique_ptr<Table> OpenCloudTable(TieredTableStorage* storage,
+                                        uint64_t number) {
     std::unique_ptr<BlockSource> source;
     uint64_t got_size;
     EXPECT_TRUE(storage->OpenTable(number, &source, &got_size).ok());
@@ -61,6 +63,11 @@ class ReadaheadTest : public ::testing::Test {
     EXPECT_TRUE(Table::Open(TableOptions(), std::move(source), size_, nullptr,
                             1, &table)
                     .ok());
+    return table;
+  }
+
+  uint64_t ScanAndCountGets(TieredTableStorage* storage, uint64_t number) {
+    std::unique_ptr<Table> table = OpenCloudTable(storage, number);
     const uint64_t gets_before = cloud_->Counters().gets;
     std::unique_ptr<Iterator> it(table->NewIterator());
     int n = 0;
@@ -162,6 +169,146 @@ TEST_F(ReadaheadTest, PointGetFetchesExactlyOneBlock) {
   EXPECT_EQ(0u, warm.second);
 
   EXPECT_LE(ScanAndCountGets(&storage, 4), 8u);
+}
+
+// The pipeline every compaction input and default scan runs: the 256 KiB
+// ReadBlock window, then streaming prefetch with a 1 MiB budget, with a
+// persistent cache attached. The prefetch must not re-download bytes the
+// window already brought back, so the scan fetches each data byte about
+// once (the window's last block, cut by the window end, is fetched again
+// by the next segment).
+TEST_F(ReadaheadTest, WindowAndStreamingPrefetchFetchEachByteOnce) {
+  PersistentCacheOptions pc;
+  pc.dir = dir_ + "/pcache";
+  pc.capacity_bytes = 4 << 20;
+  PersistentCache pcache(pc);
+  TieredStorageOptions opts;
+  opts.local_dir = dir_ + "/stream";
+  opts.cloud = cloud_.get();
+  opts.cloud_level_start = 0;
+  opts.cloud_prefix = "stream";
+  opts.persistent_cache = &pcache;
+  ASSERT_EQ(256u * 1024, opts.cloud_readahead_bytes);
+  TieredTableStorage storage(opts);
+  BuildCloudTable(&storage, 5);
+  ASSERT_GT(metadata_offset_, opts.cloud_readahead_bytes);
+  std::unique_ptr<Table> table = OpenCloudTable(&storage, 5);
+
+  TableIterOptions iopts;
+  iopts.scan_readahead_bytes = 1 << 20;
+  const ObjectStore::OpCounters before = cloud_->Counters();
+  std::unique_ptr<Iterator> it(table->NewIterator(iopts));
+  int n = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+  ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+  EXPECT_EQ(3000, n);
+  const ObjectStore::OpCounters after = cloud_->Counters();
+  const uint64_t gets = after.gets - before.gets;
+  const uint64_t bytes = after.bytes_downloaded - before.bytes_downloaded;
+  EXPECT_LT(gets, 7u);
+  EXPECT_LT(bytes * 100, metadata_offset_ * 105)
+      << bytes << " B downloaded for " << metadata_offset_
+      << " B of data blocks";
+}
+
+// A scan that starts before an earlier one must not download the earlier
+// scan's blocks again: its window stops where the persistent cache's run
+// of those blocks begins.
+TEST_F(ReadaheadTest, WindowLeavesOutCachedTail) {
+  PersistentCacheOptions pc;
+  pc.dir = dir_ + "/pcache";
+  pc.capacity_bytes = 4 << 20;
+  PersistentCache pcache(pc);
+  TieredStorageOptions opts;
+  opts.local_dir = dir_ + "/tail";
+  opts.cloud = cloud_.get();
+  opts.cloud_level_start = 0;
+  opts.cloud_prefix = "tail";
+  opts.persistent_cache = &pcache;
+  TieredTableStorage storage(opts);
+  BuildCloudTable(&storage, 7);
+  std::unique_ptr<Table> table = OpenCloudTable(&storage, 7);
+
+  std::unique_ptr<Iterator> index(table->NewIndexIterator());
+  index->Seek("key00001500");
+  ASSERT_TRUE(index->Valid());
+  BlockHandle later_start;
+  Slice input = index->value();
+  ASSERT_TRUE(later_start.DecodeFrom(&input).ok());
+  ASSERT_LT(later_start.offset(), opts.cloud_readahead_bytes);
+
+  auto scan_from = [&](const char* start) {
+    std::unique_ptr<Iterator> it(table->NewIterator());
+    int n = 0;
+    for (it->Seek(start); it->Valid(); it->Next()) n++;
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    return n;
+  };
+  EXPECT_EQ(1500, scan_from("key00001500"));
+  const ObjectStore::OpCounters before = cloud_->Counters();
+  EXPECT_EQ(3000, scan_from("key00000000"));
+  const ObjectStore::OpCounters after = cloud_->Counters();
+  // One window, ending where the first scan's cached blocks begin.
+  EXPECT_EQ(1u, after.gets - before.gets);
+  EXPECT_EQ(later_start.offset(),
+            after.bytes_downloaded - before.bytes_downloaded);
+}
+
+// A multi-block MultiGet fetch group stays buffered on the source, so an
+// iterator that later walks the blocks between the batch's keys is served
+// from that buffer without a cloud GET.
+TEST_F(ReadaheadTest, MultiGetGroupServesLaterIterator) {
+  std::shared_ptr<Statistics> stats = CreateDBStatistics();
+  TieredStorageOptions opts;
+  opts.local_dir = dir_ + "/group";
+  opts.cloud = cloud_.get();
+  opts.cloud_level_start = 0;
+  opts.cloud_prefix = "group";
+  opts.cloud_readahead_bytes = 128 * 1024;
+  opts.statistics = stats.get();
+  TieredTableStorage storage(opts);
+  BuildCloudTable(&storage, 6);
+  std::unique_ptr<Table> table = OpenCloudTable(&storage, 6);
+
+  // Two keys five data blocks apart: one coalesced range GET.
+  std::unique_ptr<Iterator> index(table->NewIndexIterator());
+  index->Seek("key00001000");
+  for (int i = 0; i < 5 && index->Valid(); i++) index->Next();
+  ASSERT_TRUE(index->Valid());
+  const std::string last_key = index->key().ToString();
+
+  int found = 0;
+  auto count = [](void* arg, const Slice&, const Slice&) {
+    ++*static_cast<int*>(arg);
+  };
+  TableGetRequest reqs[2];
+  reqs[0].key = "key00001000";
+  reqs[1].key = last_key;
+  for (TableGetRequest& r : reqs) {
+    r.arg = &found;
+    r.handle_result = count;
+  }
+  uint64_t gets_before = cloud_->Counters().gets;
+  table->MultiGet(reqs, 2, BlockBatchOptions{});
+  ASSERT_TRUE(reqs[0].status.ok());
+  ASSERT_TRUE(reqs[1].status.ok());
+  EXPECT_EQ(2, found);
+  EXPECT_EQ(1u, cloud_->Counters().gets - gets_before);
+
+  // Walking from the first key into the last block: every block, the ones
+  // no key of the batch asked for included, comes from the group's buffer.
+  const uint64_t hits_before = stats->GetTickerCount(CLOUD_READAHEAD_HIT);
+  gets_before = cloud_->Counters().gets;
+  std::unique_ptr<Iterator> it(table->NewIterator());
+  int n = 0;
+  for (it->Seek("key00001000"); it->Valid() && it->key().compare(last_key) < 0;
+       it->Next()) {
+    n++;
+  }
+  ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+  EXPECT_GT(n, 0);
+  EXPECT_EQ(0u, cloud_->Counters().gets - gets_before);
+  EXPECT_GE(stats->GetTickerCount(CLOUD_READAHEAD_HIT) - hits_before, 4u);
 }
 
 TEST_F(ReadaheadTest, ReadaheadDataIsCorrect) {

@@ -111,7 +111,10 @@ fi
 
 # The scan engine must actually engage on the cloud-heavy config even at
 # smoke scale: streaming readahead served blocks and prefix seeks skipped
-# filtered-out runs.
+# filtered-out runs. And the default ReadBlock window in front of the
+# streaming pipeline must not make it re-download what the window already
+# fetched: default_window's GET bytes per scan stay within 1.05x of
+# readahead_on's (the pipeline alone).
 if [ -s BENCH_scan.json ]; then
   for ticker in scan.readahead.hits scan.runs.skipped; do
     if ! grep -q "\"$ticker\": [1-9]" BENCH_scan.json; then
@@ -119,6 +122,17 @@ if [ -s BENCH_scan.json ]; then
       fail=1
     fi
   done
+  scan_get_bytes() {
+    grep "\"label\": \"cold_cloud/$1\"" BENCH_scan.json |
+      sed -E 's/.*"cloud_get_bytes_per_scan": ([0-9.eE+-]+).*/\1/' || true
+  }
+  on_bytes="$(scan_get_bytes readahead_on)"
+  window_bytes="$(scan_get_bytes default_window)"
+  if [ -z "$on_bytes" ] || [ -z "$window_bytes" ] ||
+     ! awk -v w="$window_bytes" -v o="$on_bytes" 'BEGIN { exit !(w <= 1.05 * o) }'; then
+    echo "FAIL  bench_scan: default_window GET bytes/scan (${window_bytes:-missing}) exceed 1.05x readahead_on (${on_bytes:-missing})" >&2
+    fail=1
+  fi
 fi
 
 # Trace replay fidelity gate: bench_replay captures a sampling=1 trace
