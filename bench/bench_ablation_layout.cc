@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
               "(readwhilewriting, %llu keys)\n\n",
               (unsigned long long)spec.num_keys);
   std::printf("%-18s %12s %10s %14s %12s %14s %12s\n", "layout", "ops/sec",
-              "hit%%", "reclaim(ms)", "GC(ms)", "GC rewritten", "disk MiB");
+              "hit%", "reclaim(ms)", "GC(ms)", "GC rewritten", "disk MiB");
 
   for (CacheLayout layout :
        {CacheLayout::kCompactionAware, CacheLayout::kGlobalLog}) {

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
               "(dataset ~%.0f MiB, zipfian reads)\n\n",
               dataset_mib);
   std::printf("%-12s %20s %20s %14s\n", "budget", "RocksMash ops/s",
-              "CloudSstCache ops/s", "mash hit%%");
+              "CloudSstCache ops/s", "mash hit%");
 
   for (uint64_t budget_mib : {2ull, 4ull, 8ull, 16ull, 20ull}) {
     double mash_ops = 0, sota_ops = 0, hit_pct = 0;

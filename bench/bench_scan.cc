@@ -6,7 +6,9 @@
 // filter-based run skipping.
 //
 //   ./bench_scan [--small|--large|--smoke]
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "common.h"
 
@@ -34,11 +36,16 @@ int main(int argc, char** argv) {
   Scale scale = ParseScale(argc, argv);
   JsonReport report("scan");
 
-  std::printf("E9 — scans/sec by scan length (%llu keys x %zu B)\n\n",
-              (unsigned long long)scale.num_keys, scale.value_size);
+  // Each cell times `passes` passes (fresh scan start keys each) and prints
+  // their median with the min-max spread: one pass per cell cannot tell a
+  // change from host noise.
+  const int passes = scale.smoke ? 3 : 5;
+  std::printf("E9 — scans/sec by scan length (%llu keys x %zu B), median "
+              "[min-max] of %d passes\n\n",
+              (unsigned long long)scale.num_keys, scale.value_size, passes);
   std::printf("%-14s", "scheme");
   const int lengths[] = {10, 100, 1000};
-  for (int len : lengths) std::printf(" %12d", len);
+  for (int len : lengths) std::printf(" %22d", len);
   std::printf("\n");
 
   for (SchemeKind kind : kAllSchemes) {
@@ -53,12 +60,28 @@ int main(int argc, char** argv) {
       DriverSpec scan_spec = spec;
       scan_spec.scan_length = len;
       scan_spec.num_ops = std::max<uint64_t>(20, scale.num_ops / (4 * len));
-      DriverResult r = ScanRandom(rig.store.get(), scan_spec);
-      std::printf(" %12.0f", r.throughput_ops_sec);
+      std::vector<DriverResult> runs;
+      for (int pass = 0; pass < passes; pass++) {
+        scan_spec.seed = spec.seed + static_cast<uint64_t>(pass);
+        runs.push_back(ScanRandom(rig.store.get(), scan_spec));
+      }
+      std::sort(runs.begin(), runs.end(),
+                [](const DriverResult& a, const DriverResult& b) {
+                  return a.throughput_ops_sec < b.throughput_ops_sec;
+                });
+      const DriverResult& median = runs[runs.size() / 2];
+      char cell[64];
+      std::snprintf(cell, sizeof(cell), "%.0f [%.0f-%.0f]",
+                    median.throughput_ops_sec, runs.front().throughput_ops_sec,
+                    runs.back().throughput_ops_sec);
+      std::printf(" %22s", cell);
       std::fflush(stdout);
       report.AddResult(std::string(rig.store->Name()) + "/len" +
                            std::to_string(len),
-                       r);
+                       median);
+      report.Metric("passes", passes);
+      report.Metric("min_ops_per_sec", runs.front().throughput_ops_sec);
+      report.Metric("max_ops_per_sec", runs.back().throughput_ops_sec);
     }
     std::printf("\n");
   }

@@ -144,7 +144,8 @@ struct DBOptions {
   bool create_if_missing = true;
   bool error_if_exists = false;
 
-  // Verify checksums on every read path (table blocks always carry crcs).
+  // Fail Open on a WAL replay error instead of logging and dropping it.
+  // Block CRCs are checked on every read regardless.
   bool paranoid_checks = false;
 
   Logger* info_log = nullptr;
@@ -165,8 +166,6 @@ struct DBOptions {
 };
 
 struct ReadOptions {
-  bool verify_checksums = false;
-  bool fill_cache = true;
   // Non-null: read as of this snapshot. Null: read the latest state.
   const Snapshot* snapshot = nullptr;
 

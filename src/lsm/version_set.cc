@@ -1298,8 +1298,6 @@ void VersionSet::GetRange2(const std::vector<FileMetaData*>& inputs1,
 
 std::unique_ptr<Iterator> VersionSet::MakeInputIterator(Compaction* c) {
   ReadOptions options;
-  options.verify_checksums = options_->paranoid_checks;
-  options.fill_cache = false;
 
   // Level-0 files have to be merged together. For other levels, we will
   // make a concatenating iterator per level.

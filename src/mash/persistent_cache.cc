@@ -12,6 +12,80 @@
 
 namespace rocksmash {
 
+namespace {
+
+// The sketch is sized as if the budget held blocks of this size (the
+// default table block size), but never for fewer than kMinSketchBlocks.
+constexpr uint64_t kNominalBlockBytes = 4 * 1024;
+constexpr uint64_t kMinSketchBlocks = 1024;
+// Counters per row per budgeted block, and lookups per budgeted block
+// between halvings (TinyLFU's sample size).
+constexpr uint64_t kCountersPerBlock = 4;
+constexpr uint64_t kLookupsPerBlockPerAging = 10;
+constexpr uint64_t kMaxCount = 15;
+constexpr uint64_t kHalveMask = 0x7777777777777777ull;
+
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+uint64_t BlockHash(uint64_t sst, uint64_t offset) {
+  return Mix64(sst * 0x9e3779b97f4a7c15ull + Mix64(offset));
+}
+
+}  // namespace
+
+PersistentCache::FrequencySketch::FrequencySketch(uint64_t capacity_bytes) {
+  const uint64_t blocks =
+      std::max(capacity_bytes / kNominalBlockBytes, kMinSketchBlocks);
+  uint64_t width = 16;
+  while (width < blocks * kCountersPerBlock) width <<= 1;
+  mask_ = width - 1;
+  period_ = blocks * kLookupsPerBlockPerAging;
+  table_.assign(kRows * width / 16, 0);
+}
+
+uint64_t PersistentCache::FrequencySketch::Slot(uint64_t hash,
+                                                int row) const {
+  // Double hashing: row i probes lo + i * hi.
+  const uint64_t hi = (hash >> 32) | 1;
+  return static_cast<uint64_t>(row) * (mask_ + 1) +
+         ((hash + static_cast<uint64_t>(row) * hi) & mask_);
+}
+
+void PersistentCache::FrequencySketch::Increment(uint64_t sst,
+                                                 uint64_t offset) {
+  const uint64_t hash = BlockHash(sst, offset);
+  for (int row = 0; row < kRows; row++) {
+    const uint64_t slot = Slot(hash, row);
+    const int shift = static_cast<int>(slot & 15) * 4;
+    uint64_t& word = table_[slot >> 4];
+    if (((word >> shift) & kMaxCount) < kMaxCount) word += uint64_t{1} << shift;
+  }
+  if (++lookups_ >= period_) Age();
+}
+
+uint32_t PersistentCache::FrequencySketch::Estimate(uint64_t sst,
+                                                    uint64_t offset) const {
+  const uint64_t hash = BlockHash(sst, offset);
+  uint64_t count = kMaxCount;
+  for (int row = 0; row < kRows; row++) {
+    const uint64_t slot = Slot(hash, row);
+    count = std::min(count, (table_[slot >> 4] >> ((slot & 15) * 4)) &
+                                kMaxCount);
+  }
+  return static_cast<uint32_t>(count);
+}
+
+void PersistentCache::FrequencySketch::Age() {
+  for (uint64_t& word : table_) word = (word >> 1) & kHalveMask;
+  lookups_ = 0;
+}
+
 struct PersistentCache::ExtentWriter {
   std::unique_ptr<WritableFile> file;
   uint64_t pos = 0;
@@ -20,7 +94,8 @@ struct PersistentCache::ExtentWriter {
 PersistentCache::PersistentCache(const PersistentCacheOptions& options)
     : options_(options),
       env_(options.env != nullptr ? options.env : Env::Default()),
-      meta_(env_, options.dir + "/meta") {
+      meta_(env_, options.dir + "/meta"),
+      sketch_(options.capacity_bytes) {
   // why unchecked: an unusable cache dir turns every admit into a miss;
   // the first admit write reports the real error via its own status.
   env_->CreateDirRecursively(options_.dir).PermitUncheckedError();
@@ -70,6 +145,7 @@ bool PersistentCache::GetBlock(uint64_t sst, uint64_t offset,
   std::string path;
   {
     MutexLock l(&mu_);
+    sketch_.Increment(sst, offset);
     auto it = ssts_.find(sst);
     if (it == ssts_.end()) {
       stats_.misses++;
@@ -87,7 +163,6 @@ bool PersistentCache::GetBlock(uint64_t sst, uint64_t offset,
     loc = bit->second;
     // Refresh LRU (block-granular).
     lru_.splice(lru_.end(), lru_, bit->second.lru_pos);
-    it->second.last_use = ++lru_tick_;
     path = options_.layout == CacheLayout::kCompactionAware
                ? ExtentPath(sst, it->second.generation)
                : LogPath(loc.file_id);
@@ -160,10 +235,16 @@ uint64_t PersistentCache::PutBlockImpl(uint64_t sst, uint64_t offset,
   MutexLock l(&mu_);
   const uint64_t evicted_before = stats_.evicted_bytes;
 
-  auto& entry = ssts_[sst];
-  if (entry.blocks.count(offset) > 0) {
+  auto sit = ssts_.find(sst);
+  if (sit != ssts_.end() && sit->second.blocks.count(offset) > 0) {
     return 0;  // Already cached.
   }
+  if (!ShouldAdmitLocked(sst, offset, raw.size())) {
+    stats_.admit_rejected++;
+    RecordTick(options_.statistics, PERSISTENT_CACHE_ADMIT_REJECTED);
+    return 0;
+  }
+  SstEntry& entry = sit != ssts_.end() ? sit->second : ssts_[sst];
 
   BlockLoc loc;
   loc.len = static_cast<uint32_t>(raw.size());
@@ -221,7 +302,6 @@ uint64_t PersistentCache::PutBlockImpl(uint64_t sst, uint64_t offset,
   loc.lru_pos = lru_.insert(lru_.end(), {sst, offset});
   entry.blocks[offset] = loc;
   entry.live_bytes += raw.size();
-  entry.last_use = ++lru_tick_;
   stats_.data_bytes += raw.size();
   stats_.admissions++;
   RecordTick(options_.statistics, PERSISTENT_CACHE_ADMIT);
@@ -242,6 +322,18 @@ void PersistentCache::MarkDeadInLogLocked(const BlockLoc& loc) {
       break;
     }
   }
+}
+
+bool PersistentCache::ShouldAdmitLocked(uint64_t sst, uint64_t offset,
+                                        uint64_t len) const {
+  if (stats_.data_bytes + len <= options_.capacity_bytes || lru_.empty()) {
+    return true;
+  }
+  // Strictly greater: on a tie the resident stays, so blocks of equal
+  // popularity do not churn each other through the budget.
+  const auto& [victim_sst, victim_offset] = lru_.front();
+  return sketch_.Estimate(sst, offset) >
+         sketch_.Estimate(victim_sst, victim_offset);
 }
 
 void PersistentCache::EvictIfNeededLocked() {
@@ -292,24 +384,29 @@ void PersistentCache::DropExtentLocked(uint64_t sst, SstEntry* entry) {
 void PersistentCache::EnforceDiskBoundLocked() {
   // Dead bytes in extents normally vanish when compaction deletes the SST.
   // If the disk footprint nevertheless exceeds the overcommit bound, drop
-  // the coldest whole extents (their live blocks become misses). This must
+  // whole extents (their live blocks become misses). This must
   // run even when only ONE SST is cached: a single hot SST cycling
   // admit/evict appends dead bytes to its extent without bound otherwise.
   const uint64_t bound = options_.capacity_bytes * 2;
-  while (stats_.disk_bytes > bound && !ssts_.empty()) {
-    uint64_t victim = 0;
-    uint64_t oldest = ~uint64_t{0};
-    for (const auto& [number, entry] : ssts_) {
-      if (entry.last_use < oldest) {
-        oldest = entry.last_use;
-        victim = number;
+  while (stats_.disk_bytes > bound) {
+    // The victim is the extent with the lowest live share: dropping it frees
+    // the most dead bytes per live (possibly hot) byte lost.
+    auto victim = ssts_.end();
+    for (auto it = ssts_.begin(); it != ssts_.end(); ++it) {
+      const SstEntry& e = it->second;
+      if (e.extent_bytes == 0) continue;
+      if (victim == ssts_.end() ||
+          static_cast<double>(e.live_bytes) * victim->second.extent_bytes <
+              static_cast<double>(victim->second.live_bytes) *
+                  e.extent_bytes) {
+        victim = it;
       }
     }
-    auto it = ssts_.find(victim);
-    if (it == ssts_.end()) break;
+    if (victim == ssts_.end()) break;
+    const uint64_t victim_sst = victim->first;
     // Unlink the victim's blocks from the LRU and accounting.
     uint64_t live_dropped = 0;
-    for (auto& [off, loc] : it->second.blocks) {
+    for (auto& [off, loc] : victim->second.blocks) {
       (void)off;
       lru_.erase(loc.lru_pos);
       stats_.data_bytes -= loc.len;
@@ -318,8 +415,8 @@ void PersistentCache::EnforceDiskBoundLocked() {
     }
     RecordTick(options_.statistics, PERSISTENT_CACHE_FORCED_DROP_BYTES,
                live_dropped);
-    DropExtentLocked(victim, &it->second);
-    ssts_.erase(it);
+    DropExtentLocked(victim_sst, &victim->second);
+    ssts_.erase(victim);
   }
 }
 

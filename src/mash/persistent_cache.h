@@ -1,10 +1,17 @@
 // PersistentCache: RocksMash's LSM-aware SSD cache for cloud-resident data
 // blocks, plus the packed metadata region (MetadataStore).
 //
-// Two layouts are implemented; the difference is the E10 ablation:
+// Admission comes first. Every data-block lookup, hit or miss, bumps a
+// fixed-size frequency sketch (TinyLFU: a count-min sketch of 4-bit
+// counters, all halved after every 10 lookups per budgeted block so old
+// popularity fades). While the budget has room every fetched block is admitted. Once
+// admitting a block would force an eviction, it gets in only if it has been
+// looked up strictly more often than the LRU victim; otherwise it is not
+// written at all (pcache.admit.rejected). A stream of one-touch blocks
+// therefore cannot flush the hot set, and refused blocks leave no dead bytes.
 //
-// Eviction is block-granular LRU in both layouts (hot blocks are spread
-// across every SST under zipfian traffic, so whole-SST eviction would
+// Eviction is then block-granular LRU in both layouts (hot blocks are
+// spread across every SST under zipfian traffic, so whole-SST eviction would
 // thrash); the layouts differ in how *invalidation* reclaims space:
 //
 //  * kCompactionAware (RocksMash): each cloud SST gets its own extent file.
@@ -12,14 +19,15 @@
 //    blocks merely leave dead bytes in the extent; when compaction
 //    obsoletes the SST, the whole extent is dropped with one file delete —
 //    compaction itself is the garbage collector, so no log cleaning ever
-//    runs. A disk-overcommit bound (2x budget) force-drops cold extents in
-//    the rare case invalidation lags far behind eviction.
+//    runs. If invalidation lags far behind eviction and the disk footprint
+//    passes 2x the budget, whole extents are force-dropped, lowest live
+//    share first: each drop frees the most dead bytes per live byte lost.
 //
 //  * kGlobalLog (baseline layout): all blocks append to shared log files.
 //    Both eviction and invalidation only mark bytes dead; dead bytes are
 //    reclaimed by rewriting log files once their live fraction drops below
-//    a threshold (classic log cleaning). Same hit behaviour, but
-//    reclamation consumes read+write bandwidth and invalidation is
+//    a threshold (classic log cleaning). Same admission and hit behaviour,
+//    but reclamation consumes read+write bandwidth and invalidation is
 //    O(blocks) — the costs RocksMash's layout removes.
 #pragma once
 
@@ -74,6 +82,7 @@ struct PersistentCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t admissions = 0;
+  uint64_t admit_rejected = 0;  // Refused by the frequency gate
   uint64_t evicted_bytes = 0;
   uint64_t invalidations = 0;   // SSTs invalidated
   uint64_t invalidation_micros = 0;
@@ -120,8 +129,10 @@ class PersistentCache {
   // cached. Lets a cloud readahead window leave out a cached run at its end.
   uint64_t CachedRunStart(uint64_t sst, uint64_t end);
 
-  // Insert after a cloud fetch. May trigger eviction (and GC in kGlobalLog);
-  // fires OnCacheEviction listeners (outside mu_) when bytes were reclaimed.
+  // Insert after a cloud fetch. Admitted while the budget has room, else
+  // only if the block was looked up more often than the LRU victim (see the
+  // header comment). May trigger eviction (and GC in kGlobalLog); fires
+  // OnCacheEviction listeners (outside mu_) when bytes were reclaimed.
   void PutBlock(uint64_t sst, uint64_t offset, const Slice& raw);
 
   // The SST was deleted by compaction: drop metadata slab + all data blocks.
@@ -130,6 +141,34 @@ class PersistentCache {
   PersistentCacheStats GetStats() const;
 
  private:
+  // Count-min sketch of block lookups keyed by (sst, offset): 4 rows of 4-bit
+  // counters, 16 to a word. Sized from the cache budget at construction and
+  // never grown; every counter is halved once the lookups since the last
+  // halving reach a fixed multiple of the budget's block count, so the
+  // estimate tracks recent popularity. Not thread-safe.
+  class FrequencySketch {
+   public:
+    explicit FrequencySketch(uint64_t capacity_bytes);
+
+    // Counts one lookup of the block.
+    void Increment(uint64_t sst, uint64_t offset);
+    // Recent lookups of the block (each halving halves the older ones),
+    // capped at 15. Hash collisions can only raise it.
+    uint32_t Estimate(uint64_t sst, uint64_t offset) const;
+
+   private:
+    static constexpr int kRows = 4;
+
+    // Counter index of the block in `row`.
+    uint64_t Slot(uint64_t hash, int row) const;
+    void Age();
+
+    std::vector<uint64_t> table_;  // kRows rows of (mask_ + 1) counters
+    uint64_t mask_;
+    uint64_t period_;  // Lookups between halvings
+    uint64_t lookups_ = 0;
+  };
+
   using LruList = std::list<std::pair<uint64_t, uint64_t>>;  // (sst, offset)
 
   struct BlockLoc {
@@ -143,7 +182,6 @@ class PersistentCache {
     std::map<uint64_t, BlockLoc> blocks;  // block offset -> location
     uint64_t live_bytes = 0;
     uint64_t extent_bytes = 0;  // Bytes ever appended to the extent file
-    uint64_t last_use = 0;      // For force-dropping cold extents
     // Extent-file generation. Readers drop the mutex during file I/O, so a
     // dropped + re-admitted SST must get a *new* extent path: a stale
     // (pos, len) against a recreated file would return the wrong bytes.
@@ -164,10 +202,15 @@ class PersistentCache {
   // after releasing mu_.
   uint64_t PutBlockImpl(uint64_t sst, uint64_t offset, const Slice& raw);
 
+  // The frequency gate: true if a `len`-byte block fits the budget, or was
+  // looked up strictly more often than the LRU victim it would displace.
+  bool ShouldAdmitLocked(uint64_t sst, uint64_t offset, uint64_t len) const
+      EXCLUSIVE_LOCKS_REQUIRED(mu_);
   // Block-granular LRU eviction (both layouts).
   void EvictIfNeededLocked() EXCLUSIVE_LOCKS_REQUIRED(mu_);
   // kCompactionAware: if dead bytes pile up past the overcommit bound
-  // before compaction invalidates their extents, drop whole cold extents.
+  // before compaction invalidates their extents, drop whole extents, lowest
+  // live share first.
   void EnforceDiskBoundLocked() EXCLUSIVE_LOCKS_REQUIRED(mu_);
   void DropExtentLocked(uint64_t sst, SstEntry* entry)
       EXCLUSIVE_LOCKS_REQUIRED(mu_);
@@ -188,7 +231,7 @@ class PersistentCache {
   mutable Mutex mu_;
   std::unordered_map<uint64_t, SstEntry> ssts_ GUARDED_BY(mu_);
   LruList lru_ GUARDED_BY(mu_);  // Front = coldest block
-  uint64_t lru_tick_ GUARDED_BY(mu_) = 0;
+  FrequencySketch sketch_ GUARDED_BY(mu_);
   uint64_t next_extent_gen_ GUARDED_BY(mu_) = 0;
 
   // kCompactionAware: open extent writers + append positions (handles stay

@@ -26,6 +26,7 @@ const char* const kTickerNames[TICKER_ENUM_MAX] = {
     "pcache.hit",
     "pcache.miss",
     "pcache.admit",
+    "pcache.admit.rejected",
     "pcache.evicted.bytes",
     "pcache.forced.drop.bytes",
     "pcache.invalidations",

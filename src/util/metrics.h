@@ -48,10 +48,13 @@ enum Tickers : uint32_t {
   PERSISTENT_CACHE_HIT,
   PERSISTENT_CACHE_MISS,
   PERSISTENT_CACHE_ADMIT,
+  // A fetched block the frequency gate kept out: admitting it would have
+  // evicted an LRU victim looked up at least as often.
+  PERSISTENT_CACHE_ADMIT_REJECTED,
   PERSISTENT_CACHE_EVICTED_BYTES,
   // Live bytes of whole extents dropped to keep the disk footprint within
-  // its bound (part of PERSISTENT_CACHE_EVICTED_BYTES, chosen by extent
-  // age rather than block heat).
+  // its bound (part of PERSISTENT_CACHE_EVICTED_BYTES, chosen by the
+  // extent's live share rather than block heat).
   PERSISTENT_CACHE_FORCED_DROP_BYTES,
   PERSISTENT_CACHE_INVALIDATIONS,
   PERSISTENT_CACHE_GC_RUNS,

@@ -217,6 +217,9 @@ TEST_F(MashIntegration, DeleteAcrossTiers) {
 
 TEST_F(MashIntegration, PersistentCacheBudgetHolds) {
   options_.local_cache_bytes = 128 * 1024;  // Tight budget.
+  // A RAM block cache smaller than the data, so a second pass over the
+  // keys reaches the persistent cache again.
+  options_.block_cache_bytes = 64 * 1024;
   db_.reset();
   std::filesystem::remove_all(dir_);
   ASSERT_TRUE(OpenKVStore(options_, &db_).ok());
@@ -232,8 +235,14 @@ TEST_F(MashIntegration, PersistentCacheBudgetHolds) {
   ASSERT_TRUE(db_->FlushMemTable().ok());
   db_->WaitForCompaction();
 
+  // A forward pass fills the budget; the frequency gate refuses the rest.
+  // A backward pass then reads those refused blocks a second time, and they
+  // outrank the LRU victims, read once, that the pass has not reached yet.
   std::string value;
   for (int i = 0; i < 10000; i += 3) {
+    ASSERT_TRUE(db_->Get(ReadOptions(), Key(i), &value).ok());
+  }
+  for (int i = 9999; i >= 0; i -= 3) {
     ASSERT_TRUE(db_->Get(ReadOptions(), Key(i), &value).ok());
   }
   auto stats = db_->Stats().persistent_cache;

@@ -172,9 +172,14 @@ TEST_P(PersistentCacheLayouts, DuplicatePutIgnored) {
 }
 
 TEST_P(PersistentCacheLayouts, CapacityEnforcedByEviction) {
-  // 64 KiB budget; insert 10 SSTs x 16 KiB each.
+  // 64 KiB budget; insert 10 SSTs x 16 KiB each. Each block misses once
+  // more than the one before it, so every newcomer outranks the LRU victim
+  // and the frequency gate lets it displace that block.
   const std::string block(16 * 1024, 'x');
   for (uint64_t sst = 0; sst < 10; sst++) {
+    for (uint64_t miss = 0; miss <= sst; miss++) {
+      EXPECT_FALSE(cache_->GetBlock(sst, 0, &scratch_));
+    }
     cache_->PutBlock(sst, 0, block);
   }
   auto stats = cache_->GetStats();
@@ -207,6 +212,88 @@ TEST_P(PersistentCacheLayouts, MetadataRegionIntegration) {
   EXPECT_FALSE(cache_->ReadMetadata(11, 502, 3, &scratch_));
 }
 
+TEST_P(PersistentCacheLayouts, OneTouchStreamLeavesHotSetHitting) {
+  // Each round reads a 4-block hot set, then streams 32 blocks read once:
+  // twice the 16-block budget, so plain LRU would flush the hot set every
+  // round. The frequency gate refuses the stream once the budget is full.
+  auto stats = CreateDBStatistics();
+  options_.statistics = stats.get();
+  cache_ = std::make_unique<PersistentCache>(options_);
+  const std::string block(4 * 1024, 's');
+  uint64_t next_cold = 0;
+  for (int round = 0; round < 10; round++) {
+    for (uint64_t off = 0; off < 4 * block.size(); off += block.size()) {
+      if (round == 0) {
+        EXPECT_FALSE(cache_->GetBlock(1, off, &scratch_));
+        cache_->PutBlock(1, off, block);
+      } else {
+        EXPECT_TRUE(cache_->GetBlock(1, off, &scratch_))
+            << "round " << round << " offset " << off;
+      }
+    }
+    for (int i = 0; i < 32; i++, next_cold += block.size()) {
+      EXPECT_FALSE(cache_->GetBlock(2, next_cold, &scratch_));
+      cache_->PutBlock(2, next_cold, block);
+    }
+  }
+  const PersistentCacheStats s = cache_->GetStats();
+  EXPECT_GT(s.admit_rejected, 0u);
+  EXPECT_EQ(s.admit_rejected,
+            stats->GetTickerCount(PERSISTENT_CACHE_ADMIT_REJECTED));
+  EXPECT_EQ(16u, s.admissions);  // The hot set plus the first 12 cold ones.
+  EXPECT_LE(s.data_bytes, options_.capacity_bytes);
+}
+
+TEST_P(PersistentCacheLayouts, RoomAdmitsEveryBlock) {
+  // Blocks never looked up (estimate 0) still get in while they fit.
+  const std::string block(4 * 1024, 'r');
+  const uint64_t fit = options_.capacity_bytes / block.size();
+  for (uint64_t i = 0; i < fit; i++) {
+    cache_->PutBlock(i % 3, i * block.size(), block);
+  }
+  const PersistentCacheStats s = cache_->GetStats();
+  EXPECT_EQ(fit, s.admissions);
+  EXPECT_EQ(0u, s.admit_rejected);
+  EXPECT_EQ(0u, s.evicted_bytes);
+  for (uint64_t i = 0; i < fit; i++) {
+    EXPECT_TRUE(cache_->GetBlock(i % 3, i * block.size(), &scratch_)) << i;
+  }
+}
+
+TEST_P(PersistentCacheLayouts, AgingLetsFormerHotBlockBeDisplaced) {
+  // A block read 15 times fills the sketch's counter, then is read no more.
+  const std::string block(4 * 1024, 'a');
+  EXPECT_FALSE(cache_->GetBlock(1, 0, &scratch_));
+  cache_->PutBlock(1, 0, block);
+  for (int i = 0; i < 14; i++) ASSERT_TRUE(cache_->GetBlock(1, 0, &scratch_));
+  // Fill the rest of the budget with unread blocks; the former hot block is
+  // the LRU victim.
+  for (uint64_t off = block.size(); off < options_.capacity_bytes;
+       off += block.size()) {
+    cache_->PutBlock(2, off, block);
+  }
+  // A newcomer missed twice is refused while the old count stands.
+  auto miss_twice_and_put = [&] {
+    EXPECT_FALSE(cache_->GetBlock(3, 0, &scratch_));
+    EXPECT_FALSE(cache_->GetBlock(3, 0, &scratch_));
+    cache_->PutBlock(3, 0, block);
+  };
+  miss_twice_and_put();
+  EXPECT_EQ(1u, cache_->GetStats().admit_rejected);
+  // Unrelated lookups age the sketch. The sketch halves every 10 lookups
+  // per budgeted block (at least 1024 blocks), so this many lookups halve
+  // a saturated counter to zero several times over.
+  for (uint64_t i = 0; i < 200 * 1024; i++) {
+    cache_->GetBlock(4, i % 64, &scratch_);
+  }
+  miss_twice_and_put();
+  const PersistentCacheStats s = cache_->GetStats();
+  EXPECT_EQ(1u, s.admit_rejected);
+  EXPECT_GT(s.evicted_bytes, 0u);
+  EXPECT_TRUE(cache_->GetBlock(3, 0, &scratch_));
+  EXPECT_FALSE(cache_->GetBlock(1, 0, &scratch_));
+}
+
 INSTANTIATE_TEST_SUITE_P(Layouts, PersistentCacheLayouts,
                          ::testing::Values(CacheLayout::kCompactionAware,
                                            CacheLayout::kGlobalLog));
@@ -222,17 +309,21 @@ TEST(PersistentCacheGcTest, SingleHotSstDiskFootprintBounded) {
   PersistentCache cache(options);
 
   const std::string block(8 * 1024, 'h');
-  // 200 distinct blocks of one SST = 1.6 MiB admitted through a 64 KiB
-  // budget; cycle twice.
+  // 200 distinct blocks of one SST = 1.6 MiB read through a 64 KiB budget,
+  // six rounds in alternating directions: each round starts on blocks read
+  // once more than the LRU victims the previous round left, so they pass
+  // the frequency gate and cycle admit/evict.
   std::string out;
-  for (int round = 0; round < 2; round++) {
-    for (uint64_t off = 0; off < 200 * 16384; off += 16384) {
+  for (int round = 0; round < 6; round++) {
+    for (uint64_t i = 0; i < 200; i++) {
+      const uint64_t off = (round % 2 == 0 ? i : 199 - i) * 16384;
       if (!cache.GetBlock(1, off, &out)) {
         cache.PutBlock(1, off, block);
       }
     }
   }
   auto stats = cache.GetStats();
+  EXPECT_GT(stats.evicted_bytes, 2 * options.capacity_bytes);
   EXPECT_LE(stats.data_bytes, options.capacity_bytes);
   EXPECT_LE(stats.disk_bytes, 2 * options.capacity_bytes + block.size());
   std::filesystem::remove_all(dir);
@@ -240,12 +331,14 @@ TEST(PersistentCacheGcTest, SingleHotSstDiskFootprintBounded) {
 
 TEST(PersistentCacheGcTest, ForcedExtentDropsAreCounted) {
   // A read-only loop: each of four SSTs has one hot block, read every
-  // pass, and a stream of cold blocks read once. LRU eviction of the cold
-  // blocks leaves dead bytes in the append-only extents while the hot
-  // blocks keep every extent alive, so the disk footprint passes 2x the
-  // budget and whole extents are dropped — their hot, live blocks
-  // included. pcache.forced.drop.bytes counts those live bytes, which are
-  // part of pcache.evicted.bytes.
+  // pass, and a stream of cold blocks, each read only in its own pass. The
+  // stream warms up (pass p reads its cold blocks p times), so each cold
+  // block outranks the previous pass's and passes the frequency gate. LRU
+  // eviction of the cold blocks leaves dead bytes in the append-only
+  // extents while the hot blocks keep every extent alive, so the disk
+  // footprint passes 2x the budget and whole extents are dropped — their
+  // hot, live blocks included. pcache.forced.drop.bytes counts those live
+  // bytes, which are part of pcache.evicted.bytes.
   std::string dir = TestDir("pcache_forced_drop");
   auto stats = CreateDBStatistics();
   PersistentCacheOptions options;
@@ -259,10 +352,10 @@ TEST(PersistentCacheGcTest, ForcedExtentDropsAreCounted) {
   std::string out;
   for (uint64_t pass = 1; pass <= 32; pass++) {
     for (uint64_t sst = 1; sst <= 4; sst++) {
-      for (const uint64_t off : {uint64_t{0}, pass * 16384}) {
-        if (!cache.GetBlock(sst, off, &out)) {
-          cache.PutBlock(sst, off, block);
-        }
+      if (!cache.GetBlock(sst, 0, &out)) cache.PutBlock(sst, 0, block);
+      const uint64_t cold = pass * 16384;
+      for (uint64_t read = 0; read < pass; read++) {
+        if (!cache.GetBlock(sst, cold, &out)) cache.PutBlock(sst, cold, block);
       }
     }
   }
@@ -273,6 +366,41 @@ TEST(PersistentCacheGcTest, ForcedExtentDropsAreCounted) {
   EXPECT_LE(forced, stats->GetTickerCount(PERSISTENT_CACHE_EVICTED_BYTES));
   EXPECT_LE(cache.GetStats().disk_bytes,
             2 * options.capacity_bytes + block.size());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistentCacheGcTest, ForcedDropTakesLowestLiveShareExtent) {
+  // SST 2 holds six hot blocks, all live. SST 1 holds a warming stream
+  // (block k is missed k times, so it outranks the LRU victim two blocks
+  // back) whose evicted blocks stay in its extent as dead bytes. When the
+  // footprint passes 2x the budget, the mostly-dead extent of SST 1 goes,
+  // even though SST 1 was used last; SST 2's live extent stays.
+  std::string dir = TestDir("pcache_live_share");
+  auto stats = CreateDBStatistics();
+  PersistentCacheOptions options;
+  options.dir = dir;
+  options.capacity_bytes = 64 * 1024;
+  options.layout = CacheLayout::kCompactionAware;
+  options.statistics = stats.get();
+  PersistentCache cache(options);
+
+  const std::string block(8 * 1024, 'l');
+  std::string out;
+  for (uint64_t off = 0; off < 6 * block.size(); off += block.size()) {
+    cache.PutBlock(2, off, block);
+  }
+  for (uint64_t k = 1; k <= 12; k++) {
+    const uint64_t off = k * block.size();
+    for (uint64_t miss = 0; miss < k; miss++) {
+      EXPECT_FALSE(cache.GetBlock(1, off, &out));
+    }
+    cache.PutBlock(1, off, block);
+    for (uint64_t hot = 0; hot < 6 * block.size(); hot += block.size()) {
+      EXPECT_TRUE(cache.GetBlock(2, hot, &out)) << "k " << k << " " << hot;
+    }
+  }
+  EXPECT_GT(stats->GetTickerCount(PERSISTENT_CACHE_FORCED_DROP_BYTES), 0u);
+  EXPECT_LE(cache.GetStats().disk_bytes, 2 * options.capacity_bytes);
   std::filesystem::remove_all(dir);
 }
 
