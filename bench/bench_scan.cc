@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common.h"
+#include "util/prefix_extractor.h"
 
 using namespace rocksmash;
 using namespace rocksmash::bench;
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
     o.cloud_level_start = 0;
     o.cloud_readahead_bytes = 0;
     // 16-digit DriverKey: a 15-byte prefix buckets keys into groups of 10.
-    o.prefix_length = 15;
+    o.prefix_extractor = NewFixedPrefixExtractor(15);
     Rig rig = OpenRig(workdir + "/prefix", SchemeKind::kRocksMash, o);
 
     DriverSpec spec;

@@ -9,7 +9,6 @@
 #include "lsm/filename.h"
 #include "lsm/sharded_db.h"
 #include "mash/placement.h"
-#include "util/prefix_extractor.h"
 
 namespace rocksmash {
 
@@ -293,30 +292,18 @@ Status OpenKVStore(const SchemeOptions& options,
     return Status::InvalidArgument(std::string(SchemeName(options.kind)) +
                                    " requires an object store");
   }
+  // table_storage and wal_manager are refused by PrepareShards.
+  if (options.block_cache != nullptr) {
+    return Status::InvalidArgument(
+        "OpenKVStore", "block_cache is built from block_cache_bytes");
+  }
   Env* env = options.env != nullptr ? options.env : Env::Default();
   std::unique_ptr<KVStore> kv(new KVStore(options));
   kv->options_.env = env;
 
-  DBOptions base;
-  base.env = env;
-  base.shared_resources = options.shared_resources;
-  base.max_write_group_bytes = options.max_write_group_bytes;
-  base.write_buffer_size = options.write_buffer_size;
-  base.max_file_size = options.max_file_size;
-  base.max_bytes_for_level_base = options.max_bytes_for_level_base;
-  base.block_size = options.block_size;
-  base.filter_bits_per_key = options.filter_bits_per_key;
-  if (options.prefix_length > 0) {
-    base.prefix_extractor = NewFixedPrefixExtractor(options.prefix_length);
-  }
-  base.max_open_files = options.max_open_files;
-  base.compress_blocks = options.compress_blocks;
-  base.blob = options.blob;
-  base.max_background_flushes = options.max_background_flushes;
-  base.max_background_compactions = options.max_background_compactions;
-  base.statistics = options.statistics;
-  base.listeners = options.listeners;
-  base.stats_dump_period_sec = options.stats_dump_period_sec;
+  DBOptions base = kv->options_;
+  // The baselines log to one WAL file; kRocksMash stripes its eWAL.
+  if (options.kind != SchemeKind::kRocksMash) base.wal_segments = 1;
 
   // Shards get one SharedResources sized from these knobs: one block-cache
   // budget and one cloud pool pair for the whole group.
@@ -402,7 +389,6 @@ Status OpenKVStore(const SchemeOptions& options,
         ts.async_uploads = options.async_uploads;
         ts.upload_threads = options.upload_threads;
         kv->storages_.push_back(std::make_unique<TieredTableStorage>(ts));
-        spec.options.wal_segments = options.wal_segments;
         break;
     }
     spec.options.table_storage = kv->storages_.back().get();

@@ -49,7 +49,21 @@ enum class SchemeKind {
 
 const char* SchemeName(SchemeKind kind);
 
-struct SchemeOptions {
+// The options of a store: every engine knob of DBOptions (one field each,
+// documented there) plus the scheme and placement policy below. OpenKVStore
+// builds table_storage, wal_manager and block_cache itself, so a caller must
+// leave those three null. Two engine defaults differ from DBOptions': see
+// the constructor.
+struct SchemeOptions : DBOptions {
+  SchemeOptions() {
+    // Fairness of the CloudSstCache baseline: an open reader pins its cached
+    // file (open fd) even after the file cache evicts it, so an unbounded
+    // table cache would silently grant that scheme unlimited local space.
+    max_open_files = 100;
+    // eWAL segments per shard for kRocksMash; the baselines always run 1.
+    wal_segments = 4;
+  }
+
   SchemeKind kind = SchemeKind::kRocksMash;
   std::string local_dir;
   // Required for all but kLocalOnly; OpenKVStore returns InvalidArgument
@@ -68,7 +82,6 @@ struct SchemeOptions {
 
   // kRocksMash knobs.
   int cloud_level_start = 2;
-  int wal_segments = 4;  // eWAL segments per shard; the baselines run 1.
   CacheLayout cache_layout = CacheLayout::kCompactionAware;
   bool pin_hot_files = false;
   // Async upload pipeline (kRocksMash): cloud-level installs enqueue their
@@ -78,64 +91,18 @@ struct SchemeOptions {
   bool async_uploads = true;
   int upload_threads = 2;
 
-  // Background lanes of the engine, all schemes (see DBOptions).
-  int max_background_flushes = 1;
-  int max_background_compactions = 1;
-
   // > 1: hash-partition the key space over this many engine shards behind a
   // ShardedDB router, all schemes. Each shard gets its own directory under
   // local_dir (and cloud prefix for cloud-backed schemes); the block cache,
-  // statistics, and background lanes come from ONE SharedResources so the
+  // statistics, and background lanes come from ONE SharedResources (the
+  // caller's shared_resources, else one sized from the knobs here) so the
   // memory and thread budgets do not scale with the shard count. The count
   // persists in a local_dir/SHARDS marker; reopening with a different count
   // fails. See DESIGN.md "Sharding & shared resources".
   int num_shards = 1;
 
-  // Process-wide shared resources for sharded opens. Null: created
-  // internally when num_shards > 1 (sized from the knobs here), unused
-  // otherwise. Pass one instance to several stores to share their block
-  // cache and background pools.
-  std::shared_ptr<SharedResources> shared_resources;
-
-  // Group-commit cap of the write path, all schemes (see DBOptions and
-  // DESIGN.md "Write pipeline").
-  size_t max_write_group_bytes = 1 << 20;
-
-  // Engine knobs shared by all schemes.
-  size_t write_buffer_size = 4 * 1024 * 1024;
-  uint64_t max_file_size = 2 * 1024 * 1024;
-  uint64_t max_bytes_for_level_base = 10 * 1024 * 1024;
-  size_t block_size = 4 * 1024;
+  // Size of the RAM block cache the store builds (shared by every shard).
   size_t block_cache_bytes = 8 * 1024 * 1024;
-  int filter_bits_per_key = 10;
-  // > 0: install a fixed-prefix extractor of this length, enabling
-  // prefix-aware SST filters and ReadOptions::prefix_same_as_start run
-  // skipping on scans (see DBOptions::prefix_extractor).
-  size_t prefix_length = 0;
-  // Key-value separation: values >= blob.min_blob_size move into append-only
-  // blob files at flush time and tier to the cloud like SSTs (see
-  // BlobOptions / DESIGN.md "Value separation"). Applies to every scheme.
-  BlobOptions blob;
-
-  // Table readers kept open. Matters for fairness of the CloudSstCache
-  // baseline: an open reader pins its cached file (open fd) even after the
-  // file cache evicts it, so an unbounded table cache would silently grant
-  // that scheme unlimited local space.
-  int max_open_files = 100;
-  bool compress_blocks = true;
-  Env* env = nullptr;
-
-  // Unified tickers + histograms, propagated to the engine, the tiered
-  // storage, and the persistent cache for every scheme. Not owned; nullptr
-  // (the default) keeps the hot paths stat-free.
-  Statistics* statistics = nullptr;
-
-  // Event listeners (flush/compaction/upload/eviction/recovery). Not owned;
-  // must outlive the store.
-  std::vector<EventListener*> listeners;
-
-  // > 0: dump statistics to the info log every N seconds.
-  uint32_t stats_dump_period_sec = 0;
 };
 
 // Counters of the whole-SST-file cache storage (kCloudSstCache).

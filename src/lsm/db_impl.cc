@@ -3050,8 +3050,8 @@ Status DB::Open(const DBOptions& options, const std::string& dbname,
                 std::unique_ptr<DB>* dbptr) {
   dbptr->reset();
 
-  // The single validation point for BlobOptions, whichever surface
-  // (DBOptions or SchemeOptions) they arrived through.
+  // The single validation point for BlobOptions (OpenKVStore opens its
+  // shards through here too).
   Status blob_valid = ValidateBlobOptions(options.blob);
   if (!blob_valid.ok()) return blob_valid;
 

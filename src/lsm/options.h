@@ -25,9 +25,9 @@ class Snapshot;
 class Statistics;
 class EventListener;
 
-// Key-value separation knobs (see DESIGN.md "Value separation"). One struct
-// embedded in DBOptions and SchemeOptions so both surfaces share the same
-// fields and the single ValidateBlobOptions path.
+// Key-value separation knobs (see DESIGN.md "Value separation"), the
+// DBOptions::blob field (SchemeOptions inherits it), checked by
+// ValidateBlobOptions at DB::Open.
 struct BlobOptions {
   // Master switch: off keeps every value inline in the SSTs.
   bool enable = false;
@@ -52,8 +52,8 @@ struct BlobOptions {
   bool blob_compression = true;
 };
 
-// The one validation path for BlobOptions wherever it is embedded. Returns
-// InvalidArgument naming the offending field.
+// The one validation path for BlobOptions. Returns InvalidArgument naming
+// the offending field.
 Status ValidateBlobOptions(const BlobOptions& blob);
 
 struct DBOptions {

@@ -164,6 +164,11 @@ Status ShardedDB::PrepareShards(const DBOptions& base, const std::string& name,
     return Status::InvalidArgument("ShardedDB::PrepareShards",
                                    "num_shards must be >= 1");
   }
+  if (base.table_storage != nullptr || base.wal_manager != nullptr) {
+    return Status::InvalidArgument(
+        "ShardedDB::PrepareShards",
+        "table_storage/wal_manager are per-shard; set them on the specs");
+  }
   Env* env = base.env != nullptr ? base.env : Env::Default();
   Status s = env->CreateDirRecursively(name);
   if (!s.ok() && !env->FileExists(name)) return s;
@@ -237,11 +242,6 @@ Status ShardedDB::PrepareShards(const DBOptions& base, const std::string& name,
 Status ShardedDB::Open(const DBOptions& base, const std::string& name,
                        int num_shards, std::unique_ptr<DB>* dbptr) {
   dbptr->reset();
-  if (base.table_storage != nullptr || base.wal_manager != nullptr) {
-    return Status::InvalidArgument(
-        "ShardedDB::Open",
-        "table_storage/wal_manager are per-shard; use PrepareShards");
-  }
   std::vector<ShardSpec> specs;
   Status s = PrepareShards(base, name, num_shards, SharedResourcesOptions(),
                            &specs);

@@ -68,17 +68,18 @@ class ShardedDB : public DB {
   // the memtable budget, and the group's only stats-dump thread on shard 0.
   // The marker persists N: reopening with another count, or sharding a
   // store that already holds unsharded data, returns InvalidArgument.
-  // Callers add per-shard table storage before opening the specs; each
-  // shard's engine builds its own eWAL from base.wal_segments.
+  // base.table_storage and base.wal_manager must be null (InvalidArgument
+  // otherwise): callers add per-shard table storage to the specs before
+  // opening them, and each shard's engine builds its own eWAL from
+  // base.wal_segments.
   static Status PrepareShards(const DBOptions& base, const std::string& name,
                               int num_shards,
                               SharedResourcesOptions resources,
                               std::vector<ShardSpec>* specs);
 
   // Convenience open for plain local shards: PrepareShards with default
-  // SharedResourcesOptions, then Open. base.table_storage /
-  // base.wal_manager must be null — those are per-shard objects; use
-  // PrepareShards and the ShardSpec overload to supply them.
+  // SharedResourcesOptions, then Open. To supply per-shard table storage,
+  // use PrepareShards and the ShardSpec overload.
   static Status Open(const DBOptions& base, const std::string& name,
                      int num_shards, std::unique_ptr<DB>* dbptr);
 

@@ -7,8 +7,8 @@
 // block cache (one memory budget), one persistent-cache handle, one cloud
 // fetch pool, and one flush/compaction lane pair, or the process multiplies
 // its memory and thread footprint by N. SharedResources owns those
-// singletons explicitly; DBOptions and SchemeOptions carry a handle, and
-// every layer that used to construct its own resource takes it as a
+// singletons explicitly; DBOptions (and so SchemeOptions, which derives
+// from it) carries a handle, and every layer that used to construct its own resource takes it as a
 // dependency instead. See DESIGN.md "Sharding & shared resources".
 #pragma once
 

@@ -353,11 +353,18 @@ class CloudBlockSource final : public BlockSource {
       *s = VerifyAndStripTrailer(Slice(raw), handle, result);
       return true;
     }
-    if (pcache_ != nullptr &&
-        pcache_->GetBlock(pcache_number_, handle.offset(), &raw) &&
-        raw.size() == n) {
-      *s = VerifyAndStripTrailer(Slice(raw), handle, result);
-      return true;
+    if (pcache_ != nullptr) {
+      const bool hit =
+          pcache_->GetBlock(pcache_number_, handle.offset(), &raw) &&
+          raw.size() == n;
+      if (!scan) {
+        RecordTick(statistics_, hit ? PERSISTENT_CACHE_POINT_HIT
+                                    : PERSISTENT_CACHE_POINT_MISS);
+      }
+      if (hit) {
+        *s = VerifyAndStripTrailer(Slice(raw), handle, result);
+        return true;
+      }
     }
     std::shared_ptr<Segment> cover;
     {

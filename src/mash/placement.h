@@ -73,7 +73,8 @@ struct TieredStorageOptions {
   // enters state kUploading and keeps serving reads from its local staging
   // copy; only when the PUT is durable does it become kCloud and the local
   // copy deletable. Off by default so directly-constructed storages keep the
-  // synchronous semantics; SchemeOptions turns it on for kRocksMash.
+  // synchronous semantics; OpenKVStore copies SchemeOptions::async_uploads
+  // (default on) for kRocksMash.
   bool async_uploads = false;
   int upload_threads = 2;
 

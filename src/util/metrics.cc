@@ -25,6 +25,8 @@ const char* const kTickerNames[TICKER_ENUM_MAX] = {
     "block.reads.cloud",
     "pcache.hit",
     "pcache.miss",
+    "pcache.point.hit",
+    "pcache.point.miss",
     "pcache.admit",
     "pcache.admit.rejected",
     "pcache.evicted.bytes",

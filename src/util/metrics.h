@@ -47,6 +47,10 @@ enum Tickers : uint32_t {
   // LSM-aware persistent cache (data region).
   PERSISTENT_CACHE_HIT,
   PERSISTENT_CACHE_MISS,
+  // The data-block lookups of point reads (Get/MultiGet) alone, without
+  // those of scans and compaction inputs: the user read path's hit ratio.
+  PERSISTENT_CACHE_POINT_HIT,
+  PERSISTENT_CACHE_POINT_MISS,
   PERSISTENT_CACHE_ADMIT,
   // A fetched block the frequency gate kept out: admitting it would have
   // evicted an LRU victim looked up at least as often.

@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "env/env.h"
+#include "lsm/wal.h"
 #include "util/clock.h"
 
 namespace rocksmash {
@@ -247,6 +248,106 @@ TEST(OpenKVStoreTest, CloudSchemesRequireObjectStore) {
                                        << s.ToString();
     EXPECT_NE(std::string::npos, s.ToString().find("requires an object store"))
         << s.ToString();
+    EXPECT_EQ(nullptr, store);
+    std::filesystem::remove_all(options.local_dir);
+  }
+}
+
+// SchemeOptions is DBOptions plus the scheme fields; these two engine
+// defaults are its own.
+TEST(OpenKVStoreTest, SchemeDefaultsDifferFromDBOptions) {
+  EXPECT_EQ(100, SchemeOptions().max_open_files);
+  EXPECT_EQ(4, SchemeOptions().wal_segments);
+  EXPECT_EQ(1000, DBOptions().max_open_files);
+  EXPECT_EQ(1, DBOptions().wal_segments);
+}
+
+// With default options kRocksMash stripes its eWAL over 4 segment files and
+// every baseline logs to one.
+TEST(OpenKVStoreTest, DefaultWalSegmentsPerScheme) {
+  struct Case {
+    SchemeKind kind;
+    size_t segments;
+  };
+  for (const Case& c : {Case{SchemeKind::kLocalOnly, 1},
+                        Case{SchemeKind::kCloudOnly, 1},
+                        Case{SchemeKind::kCloudSstCache, 1},
+                        Case{SchemeKind::kRocksMash, 4}}) {
+    SCOPED_TRACE(SchemeName(c.kind));
+    SimClock clock;
+    auto cloud = NewMemObjectStore(&clock, CloudLatencyModel());
+    SchemeOptions options;
+    options.kind = c.kind;
+    options.local_dir = ::testing::TempDir() + "/rocksmash_walsegs_" +
+                        SchemeName(c.kind);
+    std::filesystem::remove_all(options.local_dir);
+    options.cloud = cloud.get();
+    std::unique_ptr<KVStore> store;
+    ASSERT_TRUE(OpenKVStore(options, &store).ok());
+    ASSERT_TRUE(store->Put(WriteOptions(), "k", "v").ok());
+
+    size_t segments = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(options.local_dir)) {
+      if (entry.path().filename().string().starts_with("ewal-")) segments++;
+    }
+    EXPECT_EQ(c.segments, segments);
+    store.reset();
+    std::filesystem::remove_all(options.local_dir);
+  }
+}
+
+// table_storage, wal_manager and block_cache are built per shard by
+// OpenKVStore; a caller-set one is refused before anything opens.
+TEST(OpenKVStoreTest, CallerSetPerShardPlumbingIsRejected) {
+  const std::string dir = ::testing::TempDir() + "/rocksmash_plumbing";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::unique_ptr<TableStorage> storage =
+      NewLocalTableStorage(Env::Default(), dir);
+  std::unique_ptr<WalManager> wal = NewEWalManager(Env::Default(), dir);
+  std::unique_ptr<Cache> cache = NewLRUCache(1 << 20);
+
+  for (int num_shards : {1, 4}) {
+    for (int field = 0; field < 3; field++) {
+      SCOPED_TRACE("num_shards=" + std::to_string(num_shards) +
+                   " field=" + std::to_string(field));
+      SchemeOptions options;
+      options.kind = SchemeKind::kLocalOnly;
+      options.local_dir = dir + "/db";
+      options.num_shards = num_shards;
+      if (field == 0) options.table_storage = storage.get();
+      if (field == 1) options.wal_manager = wal.get();
+      if (field == 2) options.block_cache = cache.get();
+      std::unique_ptr<KVStore> store;
+      Status s = OpenKVStore(options, &store);
+      EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+      EXPECT_EQ(nullptr, store);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// An inherited engine field SchemeOptions had no copy of reaches every
+// shard: error_if_exists refuses to reopen an existing store.
+TEST(OpenKVStoreTest, InheritedFieldReachesEveryShard) {
+  for (int num_shards : {1, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    SchemeOptions options;
+    options.kind = SchemeKind::kLocalOnly;
+    options.local_dir = ::testing::TempDir() + "/rocksmash_inherited_" +
+                        std::to_string(num_shards);
+    std::filesystem::remove_all(options.local_dir);
+    options.num_shards = num_shards;
+    std::unique_ptr<KVStore> store;
+    ASSERT_TRUE(OpenKVStore(options, &store).ok());
+    ASSERT_TRUE(store->Put(WriteOptions(), "k", "v").ok());
+    store.reset();
+
+    options.error_if_exists = true;
+    Status s = OpenKVStore(options, &store);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find("exists")) << s.ToString();
     EXPECT_EQ(nullptr, store);
     std::filesystem::remove_all(options.local_dir);
   }

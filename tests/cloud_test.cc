@@ -118,7 +118,8 @@ TEST_P(ObjectStoreKinds, FaultInjectionEveryN) {
   injectable->SetFaultPolicy(policy);
   int failures = 0;
   for (int i = 0; i < 10; i++) {
-    if (!store_->Put("k" + std::to_string(i), "v").ok()) failures++;
+    const std::string n = std::to_string(i);
+    if (!store_->Put("k" + n, "v").ok()) failures++;
   }
   EXPECT_EQ(5, failures);
 }

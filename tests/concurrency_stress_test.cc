@@ -22,6 +22,7 @@
 #include "mash/persistent_cache.h"
 #include "trace/trace_tools.h"
 #include "util/clock.h"
+#include "util/prefix_extractor.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -448,7 +449,8 @@ TEST(ConcurrencyStressTest, ScansRaceFlushCompactionAndPrefetch) {
   options.max_bytes_for_level_base = 64 * 1024;
   options.block_size = 1024;
   options.local_cache_bytes = 16 * 1024;
-  options.prefix_length = 6;  // "key-00".."key-99" buckets of KeyOf()
+  // "key-00".."key-99" buckets of KeyOf().
+  options.prefix_extractor = NewFixedPrefixExtractor(6);
 
   std::unique_ptr<KVStore> db;
   ASSERT_TRUE(OpenKVStore(options, &db).ok());

@@ -153,11 +153,13 @@ TEST_F(DBTest, ReopenPreservesData) {
 
 TEST_F(DBTest, RecoveryReplaysWal) {
   for (int i = 0; i < 100; i++) {
-    ASSERT_TRUE(Put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(Put("k" + n, "v" + n).ok());
   }
   ASSERT_TRUE(Reopen().ok());
   for (int i = 0; i < 100; i++) {
-    EXPECT_EQ("v" + std::to_string(i), Get("k" + std::to_string(i)));
+    const std::string n = std::to_string(i);
+    EXPECT_EQ("v" + n, Get("k" + n));
   }
   RecoveryStats stats = db_->GetRecoveryStats();
   EXPECT_GE(stats.records_replayed, 100u);
@@ -188,11 +190,13 @@ TEST_F(DBTest, CompactionKeepsData) {
 
 TEST_F(DBTest, ManualCompactRange) {
   for (int i = 0; i < 3000; i++) {
-    ASSERT_TRUE(Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(Put("key" + n, "v" + n).ok());
   }
   ASSERT_TRUE(db_->CompactRange(nullptr, nullptr).ok());
   for (int i = 0; i < 3000; i += 37) {
-    EXPECT_EQ("v" + std::to_string(i), Get("key" + std::to_string(i)));
+    const std::string n = std::to_string(i);
+    EXPECT_EQ("v" + n, Get("key" + n));
   }
   // After a full manual compaction L0 should be empty.
   std::string v;
@@ -342,16 +346,20 @@ TEST_F(DBTest, ConcurrentWriters) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([this, t] {
+      const std::string thread = std::to_string(t);
       for (int i = 0; i < kPerThread; i++) {
-        std::string key = "t" + std::to_string(t) + "-" + std::to_string(i);
+        const std::string n = std::to_string(i);
+        std::string key = "t" + thread + "-" + n;
         ASSERT_TRUE(db_->Put(WriteOptions(), key, key + "-value").ok());
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; t++) {
+    const std::string thread = std::to_string(t);
     for (int i = 0; i < kPerThread; i += 41) {
-      std::string key = "t" + std::to_string(t) + "-" + std::to_string(i);
+      const std::string n = std::to_string(i);
+      std::string key = "t" + thread + "-" + n;
       EXPECT_EQ(key + "-value", Get(key));
     }
   }
@@ -359,19 +367,22 @@ TEST_F(DBTest, ConcurrentWriters) {
 
 TEST_F(DBTest, ConcurrentReadersWhileWriting) {
   for (int i = 0; i < 1000; i++) {
-    ASSERT_TRUE(Put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(Put("k" + n, "v" + n).ok());
   }
   std::atomic<bool> stop{false};
   std::thread writer([this, &stop] {
     int i = 1000;
     while (!stop.load()) {
-      EXPECT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+      const std::string n = std::to_string(i);
+      EXPECT_TRUE(db_->Put(WriteOptions(), "k" + n, "v").ok());
       i++;
     }
   });
   for (int round = 0; round < 3; round++) {
     for (int i = 0; i < 1000; i += 7) {
-      EXPECT_EQ("v" + std::to_string(i), Get("k" + std::to_string(i)));
+      const std::string n = std::to_string(i);
+      EXPECT_EQ("v" + n, Get("k" + n));
     }
   }
   stop.store(true);
@@ -413,7 +424,8 @@ TEST_F(DBTest, OrderedIterationMatchesSortedInput) {
   std::set<std::string> keys;
   Random64 rng(7);
   for (int i = 0; i < 500; i++) {
-    std::string key = "k" + std::to_string(rng.Uniform(100000));
+    const std::string n = std::to_string(rng.Uniform(100000));
+    std::string key = "k" + n;
     keys.insert(key);
     ASSERT_TRUE(Put(key, "v").ok());
   }

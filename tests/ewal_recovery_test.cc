@@ -349,8 +349,14 @@ TEST_P(RecoveryParam, RepeatedCrashRecoverCycles) {
 INSTANTIATE_TEST_SUITE_P(WalShards, RecoveryParam,
                          ::testing::Values(1, 2, 4, 8));
 
-std::string KeyOf(int i) { return "k" + std::to_string(i); }
-std::string ValueOf(int i) { return "v" + std::to_string(i); }
+std::string KeyOf(int i) {
+  const std::string n = std::to_string(i);
+  return "k" + n;
+}
+std::string ValueOf(int i) {
+  const std::string n = std::to_string(i);
+  return "v" + n;
+}
 
 // Synced Puts of keys [begin, end) at `segments`, then a "crash": the DB is
 // dropped without a flush, so the writes live only in the WAL.
@@ -415,8 +421,9 @@ INSTANTIATE_TEST_SUITE_P(
     Directions, SegmentCountChange,
     ::testing::Values(std::make_pair(4, 1), std::make_pair(1, 4)),
     [](const ::testing::TestParamInfo<std::pair<int, int>>& param_info) {
-      return "K" + std::to_string(param_info.param.first) + "ToK" +
-             std::to_string(param_info.param.second);
+      const std::string from = std::to_string(param_info.param.first);
+      const std::string to = std::to_string(param_info.param.second);
+      return "K" + from + "ToK" + to;
     });
 
 // A store written when the engine used a single-file log ({number}.log)
@@ -480,10 +487,10 @@ TEST(EWalEngineTest, SequencesConsistentAfterParallelReplay) {
     ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
     // Each key written 5 times; versions land in different segments.
     for (int version = 0; version < 5; version++) {
+      const std::string v = std::to_string(version);
       for (int k = 0; k < 200; k++) {
-        ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(k),
-                            "v" + std::to_string(version))
-                        .ok());
+        const std::string n = std::to_string(k);
+        ASSERT_TRUE(db->Put(WriteOptions(), "key" + n, "v" + v).ok());
       }
     }
     WriteOptions sync;

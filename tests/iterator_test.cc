@@ -18,6 +18,7 @@
 #include "env/env.h"
 #include "util/clock.h"
 #include "util/metrics.h"
+#include "util/prefix_extractor.h"
 #include "util/random.h"
 
 namespace rocksmash {
@@ -81,7 +82,10 @@ class IteratorModelTest : public ::testing::TestWithParam<IterParam> {
     options_.max_bytes_for_level_base = 128 * 1024;
     options_.local_cache_bytes = 1 << 20;
     options_.cloud_level_start = 1;
-    options_.prefix_length = std::get<1>(p);
+    prefix_length_ = std::get<1>(p);
+    if (prefix_length_ > 0) {
+      options_.prefix_extractor = NewFixedPrefixExtractor(prefix_length_);
+    }
     options_.compress_blocks = std::get<3>(p);
     ASSERT_TRUE(OpenKVStore(options_, &store_).ok());
 
@@ -118,6 +122,7 @@ class IteratorModelTest : public ::testing::TestWithParam<IterParam> {
   std::string dir_;
   std::unique_ptr<ObjectStore> cloud_;
   SchemeOptions options_;
+  size_t prefix_length_ = 0;
   std::unique_ptr<KVStore> store_;
   ReadOptions read_options_;
 };
@@ -181,7 +186,7 @@ TEST_P(IteratorModelTest, RandomizedScansMatchModel) {
 }
 
 TEST_P(IteratorModelTest, PrefixScansMatchModelAndAreForwardOnly) {
-  if (options_.prefix_length == 0) {
+  if (prefix_length_ == 0) {
     GTEST_SKIP() << "prefix extractor disabled in this config";
   }
   Model model;
@@ -193,7 +198,7 @@ TEST_P(IteratorModelTest, PrefixScansMatchModelAndAreForwardOnly) {
   for (int round = 0; round < 12; round++) {
     const uint64_t group = rng.Uniform(12);
     const std::string target = PrefixedKey(group, rng.Uniform(200));
-    const std::string prefix = target.substr(0, options_.prefix_length);
+    const std::string prefix = target.substr(0, prefix_length_);
 
     std::unique_ptr<Iterator> it = store_->NewIterator(ro);
     it->Seek(target);
@@ -252,7 +257,7 @@ TEST(IteratorRaceTest, ScanStableUnderFlushAndCompactionChurn) {
   options.write_buffer_size = 32 * 1024;
   options.max_file_size = 32 * 1024;
   options.cloud_level_start = 1;
-  options.prefix_length = 3;
+  options.prefix_extractor = NewFixedPrefixExtractor(3);
   std::unique_ptr<KVStore> store;
   ASSERT_TRUE(OpenKVStore(options, &store).ok());
 
@@ -395,7 +400,7 @@ TEST(IteratorTickerTest, PrefixSeekSkipsRunsAndTicks) {
   options.kind = SchemeKind::kRocksMash;
   options.local_dir = dir;
   options.cloud = cloud.get();
-  options.prefix_length = 3;
+  options.prefix_extractor = NewFixedPrefixExtractor(3);
   options.statistics = stats.get();
   options.cloud_level_start = 1;
   std::unique_ptr<KVStore> store;

@@ -553,5 +553,71 @@ TEST(MetricsFullStack, MixedWorkloadPopulatesTieredTickers) {
   std::filesystem::remove_all(dir);
 }
 
+// pcache.point.{hit,miss} count the data-block lookups of point reads only:
+// a cold Get misses, the same Get again hits the persistent cache, and a
+// full scan of the same table (whose lookups pcache.hit/miss do count)
+// moves neither.
+TEST(MetricsFullStack, PointPcacheTickersCountOnlyPointReads) {
+  std::string dir = TestDir("pcache_point");
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  model.get_first_byte_micros = 1;
+  model.put_first_byte_micros = 1;
+  SimClock cloud_clock;
+  auto cloud = NewMemObjectStore(&cloud_clock, model);
+  auto stats = CreateDBStatistics();
+
+  SchemeOptions options;  // kind = kRocksMash
+  options.local_dir = dir;
+  options.cloud = cloud.get();
+  options.cloud_level_start = 0;  // The flushed table is cloud-resident.
+  // No RAM block cache (capacity 0 turns it off), so a repeat read must
+  // come from the persistent cache.
+  options.block_cache_bytes = 0;
+  options.local_cache_bytes = 1 << 20;
+  options.statistics = stats.get();
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(options, &db).ok());
+
+  for (int i = 0; i < 400; i++) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%04d", i);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  db->WaitForCompaction();  // Also drains the upload.
+
+  auto point_hits = [&] {
+    return stats->GetTickerCount(PERSISTENT_CACHE_POINT_HIT);
+  };
+  auto point_misses = [&] {
+    return stats->GetTickerCount(PERSISTENT_CACHE_POINT_MISS);
+  };
+  std::string value;
+  ASSERT_TRUE(db->Get(ReadOptions(), "key0200", &value).ok());
+  EXPECT_EQ(0u, point_hits());
+  EXPECT_EQ(1u, point_misses());
+  ASSERT_TRUE(db->Get(ReadOptions(), "key0200", &value).ok());
+  EXPECT_EQ(1u, point_hits());
+  EXPECT_EQ(1u, point_misses());
+
+  const uint64_t lookups_before = stats->GetTickerCount(PERSISTENT_CACHE_HIT) +
+                                  stats->GetTickerCount(PERSISTENT_CACHE_MISS);
+  std::unique_ptr<Iterator> it = db->NewIterator(ReadOptions());
+  int n = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+  ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+  EXPECT_EQ(400, n);
+  it.reset();
+  EXPECT_GT(stats->GetTickerCount(PERSISTENT_CACHE_HIT) +
+                stats->GetTickerCount(PERSISTENT_CACHE_MISS),
+            lookups_before);
+  EXPECT_EQ(1u, point_hits());
+  EXPECT_EQ(1u, point_misses());
+
+  db.reset();
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace rocksmash

@@ -234,11 +234,12 @@ TEST(GroupCommitTest, BurstOfWritersAllSucceed) {
     threads.emplace_back([&db, t] {
       WriteOptions sync;
       sync.sync = (t % 2 == 0);  // Mix sync and async writers in the queue.
+      const std::string thread = std::to_string(t);
       for (int i = 0; i < kPerThread; i++) {
+        const std::string n = std::to_string(i);
         WriteBatch batch;
-        batch.Put("t" + std::to_string(t) + "-" + std::to_string(i), "v");
-        batch.Put("shared-" + std::to_string(i),
-                  "t" + std::to_string(t));
+        batch.Put("t" + thread + "-" + n, "v");
+        batch.Put("shared-" + n, "t" + thread);
         ASSERT_TRUE(db->Write(sync, &batch).ok());
       }
     });
@@ -247,11 +248,10 @@ TEST(GroupCommitTest, BurstOfWritersAllSucceed) {
 
   std::string value;
   for (int t = 0; t < kThreads; t++) {
+    const std::string thread = std::to_string(t);
     for (int i = 0; i < kPerThread; i += 29) {
-      ASSERT_TRUE(db->Get(ReadOptions(),
-                          "t" + std::to_string(t) + "-" + std::to_string(i),
-                          &value)
-                      .ok());
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(db->Get(ReadOptions(), "t" + thread + "-" + n, &value).ok());
     }
   }
   // Shared keys hold the value of exactly one of the racing writers.

@@ -42,10 +42,10 @@ TEST(L0SequenceAwareness, OverwritesAcrossShardsReadNewest) {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
     for (int version = 0; version < 16; version++) {
+      const std::string v = std::to_string(version);
       for (int k = 0; k < 64; k++) {
-        ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(k),
-                            "v" + std::to_string(version))
-                        .ok());
+        const std::string n = std::to_string(k);
+        ASSERT_TRUE(db->Put(WriteOptions(), "key" + n, "v" + v).ok());
       }
     }
   }
@@ -335,19 +335,17 @@ TEST(EWalDurability, SyncedWritesSurviveAcrossSegments) {
     WriteOptions sync;
     sync.sync = true;
     for (int i = 0; i < 200; i++) {
-      ASSERT_TRUE(
-          db->Put(sync, "k" + std::to_string(i), "v" + std::to_string(i))
-              .ok());
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(db->Put(sync, "k" + n, "v" + n).ok());
     }
   }
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
   std::string value;
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(
-        db->Get(ReadOptions(), "k" + std::to_string(i), &value).ok())
-        << i;
-    EXPECT_EQ("v" + std::to_string(i), value);
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(db->Get(ReadOptions(), "k" + n, &value).ok()) << i;
+    EXPECT_EQ("v" + n, value);
   }
   db.reset();
   std::filesystem::remove_all(dbname);

@@ -216,9 +216,10 @@ TEST(TraceTest, MultiThreadedCaptureKeepsThreadStructure) {
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([&capture_db, t] {
       WriteOptions wo;
+      const std::string thread = std::to_string(t);
       for (uint64_t i = 0; i < kOpsPerThread; i++) {
         const uint64_t k = static_cast<uint64_t>(t) * kOpsPerThread + i;
-        ASSERT_TRUE(capture_db->Put(wo, KeyOf(k), "t" + std::to_string(t)).ok());
+        ASSERT_TRUE(capture_db->Put(wo, KeyOf(k), "t" + thread).ok());
       }
     });
   }
@@ -421,7 +422,8 @@ TEST(TraceTest, TracingIteratorForwardsResults) {
   const std::string dbname = TestDir("iter_forward");
   auto db = OpenSmallDB(dbname);
   for (uint64_t i = 0; i < 100; i++) {
-    ASSERT_TRUE(db->Put(WriteOptions(), KeyOf(i), "v" + KeyOf(i)).ok());
+    const std::string key = KeyOf(i);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, "v" + key).ok());
   }
 
   // Contents read through a traced iterator equal the untraced view.

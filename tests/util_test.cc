@@ -277,7 +277,8 @@ TEST(CacheTest, Erase) {
 TEST(CacheTest, EvictsLRU) {
   auto cache = NewLRUCache(10, 0);
   for (int i = 0; i < 20; i++) {
-    std::string key = "k" + std::to_string(i);
+    const std::string n = std::to_string(i);
+    std::string key = "k" + n;
     cache->Release(
         cache->Insert(key, reinterpret_cast<void*>(1), 1, &NoopDeleter));
   }
@@ -294,7 +295,8 @@ TEST(CacheTest, PinnedEntriesSurviveEviction) {
   auto* pinned =
       cache->Insert("pin", reinterpret_cast<void*>(7), 1, &NoopDeleter);
   for (int i = 0; i < 10; i++) {
-    cache->Release(cache->Insert("k" + std::to_string(i),
+    const std::string n = std::to_string(i);
+    cache->Release(cache->Insert("k" + n,
                                  reinterpret_cast<void*>(1), 1, &NoopDeleter));
   }
   EXPECT_EQ(reinterpret_cast<void*>(7), cache->Value(pinned));

@@ -31,6 +31,11 @@ Rules
                      (src/lsm/shared_resources.cc) and listed in the
                      resource table under "## Sharding & shared resources"
                      in DESIGN.md.
+  scheme-options-sync
+                     struct SchemeOptions (src/baselines/kvstore.h) derives
+                     from DBOptions (src/lsm/options.h) and declares no
+                     field name DBOptions declares: every engine knob has
+                     one declaration.
 
 Usage: tools/lint.py [--self-test] [paths...]
 Exits 0 when clean, 1 on findings, 2 on usage/internal errors.
@@ -60,6 +65,9 @@ BLOB_DOC = "DESIGN.md"
 SHARED_RES_HEADER = os.path.join("src", "lsm", "shared_resources.h")
 SHARED_RES_SOURCE = os.path.join("src", "lsm", "shared_resources.cc")
 SHARED_RES_DOC = "DESIGN.md"
+
+DB_OPTIONS_HEADER = os.path.join("src", "lsm", "options.h")
+SCHEME_OPTIONS_HEADER = os.path.join("src", "baselines", "kvstore.h")
 
 
 class Finding:
@@ -322,14 +330,33 @@ def check_permit_unchecked(root, paths=None):
 
 
 def parse_struct_fields(text, struct_name):
-    """Member names of `struct <struct_name> { ... };` (no nested braces)."""
-    m = re.search(
-        r"struct\s+" + re.escape(struct_name) + r"\s*\{(.*?)\};", text, re.S)
+    """Member names of `struct <struct_name> { ... };` or of
+    `struct <struct_name> : Base { ... };`. Nested blocks (constructor and
+    member-function bodies) are skipped, so assignments inside them are not
+    taken for fields; inherited fields are not included."""
+    text = re.sub(r"//[^\n]*", "", text)
+    m = re.search(r"struct\s+" + re.escape(struct_name) +
+                  r"\s*(?::\s*(?:public\s+)?[\w:]+\s*)?\{", text)
     if m is None:
         return None
-    body = re.sub(r"//[^\n]*", "", m.group(1))
+    depth = 1
+    body = []
+    for i in range(m.end(), len(text)):
+        c = text[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                break
+            if depth == 1:
+                body.append(";")  # a nested block ends a statement
+        elif depth == 1:
+            body.append(c)
+    else:
+        return None
     fields = []
-    for stmt in body.split(";"):
+    for stmt in "".join(body).split(";"):
         decl = stmt.split("=")[0].strip()
         parts = decl.split()
         if len(parts) >= 2:
@@ -487,6 +514,36 @@ def check_shared_resources_sync(root):
     return findings
 
 
+# ---------------------------------------------------- scheme options sync --
+
+
+def check_scheme_options_sync(root):
+    """SchemeOptions derives DBOptions' engine knobs; it must not redeclare
+    any of them (a redeclaration hides the base field, so the engine would
+    silently read the DBOptions default)."""
+    try:
+        base = open(os.path.join(root, DB_OPTIONS_HEADER),
+                    encoding="utf-8").read()
+        scheme = open(os.path.join(root, SCHEME_OPTIONS_HEADER),
+                      encoding="utf-8").read()
+    except OSError as e:
+        return [Finding("scheme-options-sync", SCHEME_OPTIONS_HEADER, 1,
+                        f"cannot read options headers: {e}")]
+    base_fields = parse_struct_fields(base, "DBOptions")
+    scheme_fields = parse_struct_fields(scheme, "SchemeOptions")
+    if base_fields is None:
+        return [Finding("scheme-options-sync", DB_OPTIONS_HEADER, 1,
+                        "struct DBOptions not found")]
+    if scheme_fields is None:
+        return [Finding("scheme-options-sync", SCHEME_OPTIONS_HEADER, 1,
+                        "struct SchemeOptions not found")]
+    return [Finding("scheme-options-sync", SCHEME_OPTIONS_HEADER, 1,
+                    f"SchemeOptions::{f} redeclares DBOptions::{f}; set the "
+                    "inherited field (a different default goes in the "
+                    "SchemeOptions constructor)")
+            for f in scheme_fields if f in set(base_fields)]
+
+
 # -------------------------------------------------------------- self test --
 
 SELF_TEST_SOURCE = """\
@@ -607,6 +664,35 @@ def run_self_test():
             failures.append("rule shared-resources-sync did not fire on "
                             "seeded violation")
 
+        # scheme-options-sync: clone the two real headers (options.h is
+        # already in tmp from the blob clone above); untouched they must be
+        # clean, and a seeded redeclaration of a DBOptions field in
+        # SchemeOptions must fire.
+        os.makedirs(os.path.join(tmp, "src", "baselines"))
+        for rel in (DB_OPTIONS_HEADER, SCHEME_OPTIONS_HEADER):
+            with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as f:
+                content = f.read()
+            with open(os.path.join(tmp, rel), "w", encoding="utf-8") as f:
+                f.write(content)
+        if check_scheme_options_sync(tmp):
+            failures.append("rule scheme-options-sync fired on the real repo")
+        with open(os.path.join(tmp, SCHEME_OPTIONS_HEADER),
+                  encoding="utf-8") as f:
+            header = f.read()
+        seeded_header = re.sub(r"(struct\s+SchemeOptions\b[^{]*\{)",
+                               r"\1\n  int max_open_files = 100;", header,
+                               count=1)
+        if seeded_header == header:
+            failures.append("scheme-options-sync self-test could not seed a "
+                            "violation (no struct SchemeOptions)")
+        with open(os.path.join(tmp, SCHEME_OPTIONS_HEADER), "w",
+                  encoding="utf-8") as f:
+            f.write(seeded_header)
+        if not any(f.rule == "scheme-options-sync"
+                   for f in check_scheme_options_sync(tmp)):
+            failures.append("rule scheme-options-sync did not fire on "
+                            "seeded violation")
+
         # And a clean tree must stay clean: the lock-order comment form used
         # across the repo must satisfy the checker.
         clean = os.path.join(tmp, "src", "clean.cc")
@@ -650,6 +736,7 @@ def main(argv):
     findings += check_trace_schema(REPO_ROOT)
     findings += check_blob_options_sync(REPO_ROOT)
     findings += check_shared_resources_sync(REPO_ROOT)
+    findings += check_scheme_options_sync(REPO_ROOT)
     findings += check_mutex_lock_order(REPO_ROOT, paths)
     findings += check_todo_issue_tag(REPO_ROOT, paths)
     findings += check_permit_unchecked(REPO_ROOT, paths)
